@@ -2,7 +2,6 @@ package hypersort
 
 import (
 	"context"
-	"time"
 
 	"hypersort/internal/cluster"
 	"hypersort/internal/engine"
@@ -13,11 +12,10 @@ import (
 
 // ClusterConfig tunes a Cluster: the shard topology and routing
 // thresholds, plus the per-shard engine knobs (each shard is one full
-// Engine — its own plan cache, machine pools, and dispatch lanes — so
-// the EngineConfig-shaped fields apply to every shard independently).
-// The zero value selects sensible defaults: GOMAXPROCS shards, one
-// replica, spill at twice the fused batch depth, shed at the admission
-// queue bound.
+// Engine — its own plan cache and machine pools — so the
+// EngineConfig-shaped fields apply to every shard independently). The
+// zero value selects sensible defaults: GOMAXPROCS shards, one replica,
+// spill at 16 in-flight requests, shed at the admission bound.
 type ClusterConfig struct {
 	// Shards is the number of independent engine shards behind the
 	// router. Values < 1 mean GOMAXPROCS.
@@ -28,33 +26,30 @@ type ClusterConfig struct {
 	Replicas int
 	// SpillHighWater is the in-flight request count on a key's home
 	// shard above which the router considers a replica. Values < 1
-	// select the default (2x the fused batch depth).
+	// select the default (16).
 	SpillHighWater int
 	// ShedLimit is the per-shard in-flight count at which a shard stops
 	// accepting routed traffic; when the home shard and every replica
 	// reach it the request is refused with ErrClusterSaturated (which
 	// wraps ErrAdmissionRejected — the same 503 contract). Values < 1
-	// select the default (the admission queue depth).
+	// select the default (AdmissionQueue, else 256).
 	ShedLimit int
 
-	// PoolSize, BatchWorkers, Trace, DisableBatching, MaxBatch,
-	// MaxLinger, AdmissionQueue, Mode, and OracleSample mean exactly
-	// what they mean on EngineConfig, applied to each shard.
-	PoolSize        int
-	BatchWorkers    int
-	Trace           func(TraceEvent)
-	DisableBatching bool
-	MaxBatch        int
-	MaxLinger       time.Duration
-	AdmissionQueue  int
-	Mode            ExecMode
-	OracleSample    int
+	// PoolSize, BatchWorkers, Trace, AdmissionQueue, Mode, and
+	// OracleSample mean exactly what they mean on EngineConfig, applied
+	// to each shard.
+	PoolSize       int
+	BatchWorkers   int
+	Trace          func(TraceEvent)
+	AdmissionQueue int
+	Mode           ExecMode
+	OracleSample   int
 }
 
 // ErrClusterSaturated is found (via errors.Is) in a Result.Err or Sort
 // error when the cluster router shed the request: its home shard and
 // every replica candidate were at the shed limit, so the request was
-// refused before touching any queue. It always wraps
+// refused before reaching any shard. It always wraps
 // ErrAdmissionRejected, so existing backpressure handling (503 +
 // Retry-After in cmd/serve) applies unchanged.
 var ErrClusterSaturated = cluster.ErrSaturated
@@ -66,11 +61,11 @@ type ClusterMetrics = cluster.Metrics
 
 // Cluster is N independent Engines behind a consistent-hash router —
 // the paper's working-subcube partition applied to the serving stack
-// itself. Same-configuration traffic keeps landing on (and fusing
-// within) one shard; a hot configuration spills to replica shards when
-// its home saturates; and when every eligible shard is saturated the
-// router sheds the request with ErrClusterSaturated before it touches a
-// queue. All methods are safe for concurrent use.
+// itself. Same-configuration traffic keeps landing on one shard; a hot
+// configuration spills to replica shards when its home saturates; and
+// when every eligible shard is saturated the router sheds the request
+// with ErrClusterSaturated before it reaches any shard. All methods are
+// safe for concurrent use.
 type Cluster struct {
 	c *cluster.Cluster
 }
@@ -87,14 +82,9 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		ShedLimit:      cfg.ShedLimit,
 		PoolSize:       cfg.PoolSize,
 		Workers:        cfg.BatchWorkers,
-		Batch: engine.BatchOptions{
-			Disabled:   cfg.DisableBatching,
-			MaxBatch:   cfg.MaxBatch,
-			MaxLinger:  cfg.MaxLinger,
-			QueueDepth: cfg.AdmissionQueue,
-		},
-		Mode:         cfg.Mode,
-		OracleSample: cfg.OracleSample,
+		Batch:          engine.BatchOptions{QueueDepth: cfg.AdmissionQueue},
+		Mode:           cfg.Mode,
+		OracleSample:   cfg.OracleSample,
 	}
 	if cfg.Trace != nil {
 		opts.Trace = machine.TraceFunc(cfg.Trace)
@@ -114,7 +104,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 // response, and a dead shard (connection refused, broken mid-call,
 // timed out) is marked unhealthy, its keys re-routed to ring
 // successors, and reprobed until it returns. The per-shard engine
-// fields of cfg (PoolSize, MaxBatch, ...) are ignored here: each shard
+// fields of cfg (PoolSize, Mode, ...) are ignored here: each shard
 // process configures its own engine from its own flags.
 func NewRemoteCluster(cfg ClusterConfig, addrs []string) *Cluster {
 	opts := cluster.Options{
@@ -122,10 +112,7 @@ func NewRemoteCluster(cfg ClusterConfig, addrs []string) *Cluster {
 		SpillHighWater: cfg.SpillHighWater,
 		ShedLimit:      cfg.ShedLimit,
 		Workers:        cfg.BatchWorkers,
-		Batch: engine.BatchOptions{
-			MaxBatch:   cfg.MaxBatch,
-			QueueDepth: cfg.AdmissionQueue,
-		},
+		Batch:          engine.BatchOptions{QueueDepth: cfg.AdmissionQueue},
 	}
 	backends := make([]cluster.Backend, len(addrs))
 	for i, addr := range addrs {

@@ -1,11 +1,9 @@
 // The sharded-cluster throughput rig: the same 64-client storm as the
 // engine rig, served by N engine shards behind the consistent-hash
 // router instead of one engine. The single-engine baseline serializes
-// every request through one plan-key mutex and one set of dispatch
-// lanes; the cluster splits that serialization N ways and serves
-// direct-eligible sorts inline on the client goroutine (the router's
-// shed limit replaces the lane's admission queue), so the win shows up
-// even without true hardware parallelism. E23 records both tables.
+// every request through one plan-key mutex; the cluster splits that
+// serialization N ways. Both serve direct-eligible sorts inline on the
+// client goroutine. E23 and E26 record the tables.
 package hypersort
 
 import (
@@ -89,19 +87,17 @@ func newBenchCluster(shards int) *cluster.Cluster {
 		ShedLimit: 1 << 20,
 		PoolSize:  1,
 		Workers:   throughputClients,
-		Batch:     engine.BatchOptions{MaxBatch: 32, MaxLinger: 100 * time.Microsecond},
 		Mode:      engine.ModeDirect,
 	})
 	c.Instrument(obs.NewRegistry())
 	return c
 }
 
-// newBenchEngine builds the single-engine baseline: the continuous-
-// batching dispatcher on the direct substrate — the strongest
-// configuration PR 7 left behind (E22), so the cluster's margin is
-// measured against the best prior art, not a strawman.
+// newBenchEngine builds the single-engine baseline on the direct
+// substrate, so the cluster's margin is measured against the same inline
+// route, not a strawman.
 func newBenchEngine() *engine.Engine {
-	e := engine.NewOpts(1, throughputClients, engine.BatchOptions{MaxBatch: 32, MaxLinger: 100 * time.Microsecond})
+	e := engine.New(1, throughputClients)
 	e.SetMode(engine.ModeDirect)
 	e.Instrument(obs.NewRegistry())
 	return e
@@ -114,8 +110,8 @@ func newBenchEngine() *engine.Engine {
 //     consistent hash pins it to one home shard, so this measures the
 //     inline direct path and replica spill, not shard spread.
 //   - mix: clients cycling the four-rung degradation ladder — different
-//     plan keys land on different shards, so the per-engine mutexes and
-//     lanes stop being a global serialization point.
+//     plan keys land on different shards, so the per-engine mutexes stop
+//     being a global serialization point.
 //
 // Reproduce the E23 tables with:
 //

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"hypersort"
 	"hypersort/internal/obs"
@@ -47,16 +48,18 @@ func TestRetryAfterSeconds(t *testing.T) {
 }
 
 // TestServeRetryAfterOnBackpressure drives a real admission rejection
-// through the HTTP surface: a single-machine engine with a one-deep
-// admission queue is flooded with concurrent slow sorts, at least one
-// must answer 503, and its Retry-After header must be the computed
-// whole-second hint (an integer in [1, 30]) rather than free text.
+// through the HTTP surface: with an in-flight bound of one and the only
+// admitted sort held on its machine by a gated trace hook, the next sort
+// must answer 503 with the computed whole-second Retry-After hint.
 func TestServeRetryAfterOnBackpressure(t *testing.T) {
+	gate := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(gate) }) }
+	defer release()
 	eng := hypersort.NewEngine(hypersort.EngineConfig{
 		PoolSize:       1,
-		BatchWorkers:   1,
-		MaxBatch:       1,
 		AdmissionQueue: 1,
+		Trace:          func(hypersort.TraceEvent) { <-gate },
 	})
 	srv := httptest.NewServer(newMux(eng, nil, false, hypersort.RouteECube))
 	t.Cleanup(func() {
@@ -64,42 +67,44 @@ func TestServeRetryAfterOnBackpressure(t *testing.T) {
 		eng.Close()
 	})
 
-	body := sortBody(6, nil, 2000)
-	var (
-		mu         sync.Mutex
-		retryAfter string
-		saw503     bool
-	)
-	var wg sync.WaitGroup
-	for i := 0; i < 24; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := http.Post(srv.URL+"/v1/sort", "application/json", strings.NewReader(body))
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode == http.StatusServiceUnavailable {
-				mu.Lock()
-				saw503 = true
-				if retryAfter == "" {
-					retryAfter = resp.Header.Get("Retry-After")
-				}
-				mu.Unlock()
-			}
-		}()
+	body := sortBody(4, nil, 256)
+	held := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(srv.URL+"/v1/sort", "application/json", strings.NewReader(body))
+		if err != nil {
+			held <- 0
+			return
+		}
+		resp.Body.Close()
+		held <- resp.StatusCode
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for eng.Metrics().MachinesBuilt == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("held request never leased its machine")
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
-	wg.Wait()
-	if !saw503 {
-		t.Skip("flood did not trigger admission rejection on this host; contract covered by TestRetryAfterSeconds")
-	}
-	n, err := strconv.Atoi(retryAfter)
+
+	resp, err := http.Post(srv.URL+"/v1/sort", "application/json", strings.NewReader(body))
 	if err != nil {
-		t.Fatalf("Retry-After %q is not an integer: %v", retryAfter, err)
+		t.Fatal(err)
 	}
-	if n < 1 || n > 30 {
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("second request: status %d, want 503", resp.StatusCode)
+	}
+	want := strconv.Itoa(retryAfterSeconds(obs.QueueWaitHistogram(obs.Default()), eng))
+	if got := resp.Header.Get("Retry-After"); got != want {
+		t.Fatalf("Retry-After = %q, want the computed hint %q", got, want)
+	}
+	if n, _ := strconv.Atoi(want); n < 1 || n > 30 {
 		t.Fatalf("Retry-After = %d, want within [1, 30]", n)
+	}
+
+	release()
+	if status := <-held; status != http.StatusOK {
+		t.Fatalf("held request: status %d, want 200", status)
 	}
 }
 

@@ -38,12 +38,10 @@ type backend interface {
 // service feature). routing is the -routing default: requests that do
 // not name a "routing" policy themselves inherit it.
 func newMux(eng backend, ring *trace.Ring, chaos bool, routing hypersort.RoutingPolicy) *http.ServeMux {
-	// The queue-wait histogram feeds Retry-After on 503s. Retrieved by
-	// name (registration is idempotent) so the handlers work against any
-	// backend that instruments the shared engine bundle — which every
-	// Engine and Cluster does at construction.
-	queueWait := obs.Default().Histogram("hypersort_engine_queue_wait_ns",
-		"Nanoseconds a request waited for execution capacity (lane queue or machine-pool acquire).")
+	// The queue-wait histogram feeds Retry-After on 503s. Registration
+	// is idempotent, so this is the same instrument every Engine and
+	// Cluster observes into.
+	queueWait := obs.QueueWaitHistogram(obs.Default())
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
@@ -121,8 +119,8 @@ func newMux(eng backend, ring *trace.Ring, chaos bool, routing hypersort.Routing
 			return
 		}
 		// The request context rides into the engine: a client that
-		// disconnects while its request is queued frees the slot
-		// immediately (the dispatcher never claims a cancelled item).
+		// disconnects while its request waits for a machine frees its
+		// admission slot immediately.
 		res := eng.SortBatchContext(r.Context(), []hypersort.Request{req})[0]
 		status := statusFor(res.Err)
 		if status == http.StatusServiceUnavailable {
@@ -232,9 +230,9 @@ func retryAfterSeconds(queueWait *obs.Histogram, be backend) int {
 }
 
 // statusFor maps a per-request engine error to its HTTP status:
-// admission rejection (the lane's bounded queue is full) is transient
-// backpressure, so it answers 503 rather than 422 — clients should shed
-// or retry, not fix the request.
+// admission rejection (the configuration is at its in-flight bound) is
+// transient backpressure, so it answers 503 rather than 422 — clients
+// should shed or retry, not fix the request.
 func statusFor(err error) int {
 	switch {
 	case err == nil:

@@ -7,23 +7,22 @@
 //
 //	serve -addr :8080 [-pool 4] [-workers 8] [-trace-buf 65536] [-trace-sample 1]
 //	serve [-mode auto|direct|sim] [-oracle-sample 0] [-routing ecube|multipath]
-//	serve [-no-batching] [-max-batch 32] [-max-linger 100us] [-admission-queue 256]
+//	serve [-admission-queue 256]
 //	serve [-shards 4] [-replicas 1] [-spill-high-water 16] [-shed-limit 256]
 //	serve -cluster-mode=shard -addr :9101
 //	serve -cluster-mode=proxy -shard-addrs host1:9101,host2:9101,host3:9101
 //	serve -demo [-requests 256] [-m 4000] [-seed 1]
 //
-// Sort requests flow through the engine's continuous-batching
-// dispatcher: concurrent requests on the same configuration fuse into
-// one machine run. When a configuration's admission queue fills, the
-// affected requests answer 503 with Retry-After — backpressure, not
+// Each request takes one route: an eligible sort runs on the direct
+// substrate inline, everything else on a pooled simulated machine. When
+// a configuration already has -admission-queue requests in flight,
+// further requests answer 503 with Retry-After — backpressure, not
 // client error; the Retry-After value is the ceiling of the observed
-// median queue wait (minimum 1s). -no-batching restores the unbatched
-// per-request path.
+// median machine-pool wait (minimum 1s).
 //
 // -shards N runs N independent engine shards behind a consistent-hash
-// router instead of one engine: same-configuration traffic keeps fusing
-// within its home shard, hot configurations spill to -replicas replica
+// router instead of one engine: same-configuration traffic keeps landing
+// on its home shard, hot configurations spill to -replicas replica
 // shards past -spill-high-water in-flight requests, and when home plus
 // replicas all reach -shed-limit the router sheds with the same 503
 // contract before the request touches any queue (see DESIGN.md §11).
@@ -37,9 +36,9 @@
 // live in-flight gauges each shard feeds back on every response. A dead
 // shard is detected by transport error, routed around via ring
 // successors (zero failed requests for in-flight storms), and reprobed
-// until it returns. The engine-tuning flags (-pool, -max-batch, ...)
-// apply where the engines live: pass them to the shard processes, not
-// the proxy.
+// until it returns. The engine-tuning flags (-pool, -admission-queue,
+// ...) apply where the engines live: pass them to the shard processes,
+// not the proxy.
 //
 // -mode selects the execution substrate. "sim" (the historical
 // behaviour) runs every sort on the simulated machine with measured
@@ -55,8 +54,7 @@
 // (the default) is the paper's dimension-order discipline with hop-count
 // pricing. "multipath" stripes large transfers across vertex-disjoint
 // paths and prices per-link queueing into the simulated makespan;
-// multipath requests always run on the simulator (never direct) and
-// take the unbatched pool path. A request may override the default with
+// multipath requests always run on the simulator (never direct). A request may override the default with
 // its own "routing" field. See DESIGN.md §12 and the routing-modes
 // section of README.md.
 //
@@ -121,10 +119,7 @@ func main() {
 		addr        = flag.String("addr", ":8080", "HTTP listen address")
 		pool        = flag.Int("pool", 0, "machines pooled per configuration (0 = GOMAXPROCS)")
 		workers     = flag.Int("workers", 0, "concurrent batch requests (0 = GOMAXPROCS)")
-		noBatching  = flag.Bool("no-batching", false, "disable the continuous-batching dispatcher (every sort takes the unbatched pool path)")
-		maxBatch    = flag.Int("max-batch", 0, "max sort requests fused into one machine run (0 = default)")
-		maxLinger   = flag.Duration("max-linger", 0, "how long the dispatcher holds a partial batch open for stragglers (0 = default)")
-		admission   = flag.Int("admission-queue", 0, "queued sorts allowed per configuration before 503s (0 = default)")
+		admission   = flag.Int("admission-queue", 0, "in-flight requests allowed per configuration before 503s (0 = default)")
 		shards      = flag.Int("shards", 0, "engine shards behind the consistent-hash router (0 = classic single engine)")
 		clusterMode = flag.String("cluster-mode", "", "multi-process role: \"shard\" serves one engine over the binary wire protocol, \"proxy\" fronts -shard-addrs over HTTP (\"\" = in-process)")
 		shardAddrs  = flag.String("shard-addrs", "", "comma-separated shard process addresses for -cluster-mode=proxy")
@@ -157,14 +152,11 @@ func main() {
 		fatal(err)
 	}
 	ecfg := hypersort.EngineConfig{
-		PoolSize:        *pool,
-		BatchWorkers:    *workers,
-		DisableBatching: *noBatching,
-		MaxBatch:        *maxBatch,
-		MaxLinger:       *maxLinger,
-		AdmissionQueue:  *admission,
-		Mode:            execMode,
-		OracleSample:    *oracle,
+		PoolSize:       *pool,
+		BatchWorkers:   *workers,
+		AdmissionQueue: *admission,
+		Mode:           execMode,
+		OracleSample:   *oracle,
 	}
 	if *traceBuf > 0 {
 		ring = trace.NewRing(*traceBuf, *traceSample)
@@ -206,25 +198,21 @@ func main() {
 			SpillHighWater: *spillHW,
 			ShedLimit:      *shedLimit,
 			BatchWorkers:   *workers,
-			MaxBatch:       *maxBatch,
 			AdmissionQueue: *admission,
 		}, addrs)
 		be, closeBackend = cl, cl.Close
 	} else if *shards > 0 {
 		cl := hypersort.NewCluster(hypersort.ClusterConfig{
-			Shards:          *shards,
-			Replicas:        *replicas,
-			SpillHighWater:  *spillHW,
-			ShedLimit:       *shedLimit,
-			PoolSize:        ecfg.PoolSize,
-			BatchWorkers:    ecfg.BatchWorkers,
-			Trace:           ecfg.Trace,
-			DisableBatching: ecfg.DisableBatching,
-			MaxBatch:        ecfg.MaxBatch,
-			MaxLinger:       ecfg.MaxLinger,
-			AdmissionQueue:  ecfg.AdmissionQueue,
-			Mode:            ecfg.Mode,
-			OracleSample:    ecfg.OracleSample,
+			Shards:         *shards,
+			Replicas:       *replicas,
+			SpillHighWater: *spillHW,
+			ShedLimit:      *shedLimit,
+			PoolSize:       ecfg.PoolSize,
+			BatchWorkers:   ecfg.BatchWorkers,
+			Trace:          ecfg.Trace,
+			AdmissionQueue: ecfg.AdmissionQueue,
+			Mode:           ecfg.Mode,
+			OracleSample:   ecfg.OracleSample,
 		})
 		be, closeBackend = cl, cl.Close
 	} else {
@@ -251,7 +239,7 @@ func main() {
 	}
 	done := make(chan os.Signal, 1)
 	signal.Notify(done, os.Interrupt, syscall.SIGTERM)
-	fmt.Printf("serve: listening on %s (cluster-mode=%q shards=%d pool=%d workers=%d batching=%v mode=%s routing=%s trace-buf=%d)\n", lis.Addr(), *clusterMode, *shards, *pool, *workers, !*noBatching, execMode, routePolicy, *traceBuf)
+	fmt.Printf("serve: listening on %s (cluster-mode=%q shards=%d pool=%d workers=%d mode=%s routing=%s trace-buf=%d)\n", lis.Addr(), *clusterMode, *shards, *pool, *workers, execMode, routePolicy, *traceBuf)
 	if err := serveUntil(srv, lis, done, 10*time.Second, closeBackend); err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(1)
@@ -292,21 +280,14 @@ func serveUntil(srv *http.Server, lis net.Listener, sig <-chan os.Signal, drain 
 // listen line prints the RESOLVED address so orchestration (and the CI
 // smoke leg) can start shards on ":0" and scrape the ports.
 func runShard(addr string, ecfg hypersort.EngineConfig) error {
-	eng := engine.NewOpts(ecfg.PoolSize, ecfg.BatchWorkers, engine.BatchOptions{
-		Disabled:   ecfg.DisableBatching,
-		MaxBatch:   ecfg.MaxBatch,
-		MaxLinger:  ecfg.MaxLinger,
-		QueueDepth: ecfg.AdmissionQueue,
-	})
+	eng := engine.NewOpts(ecfg.PoolSize, ecfg.BatchWorkers, engine.BatchOptions{QueueDepth: ecfg.AdmissionQueue})
 	eng.SetMode(ecfg.Mode)
 	eng.SetOracleSample(ecfg.OracleSample)
 	if ecfg.Trace != nil {
 		eng.SetTrace(machine.TraceFunc(ecfg.Trace))
 	}
 	eng.Instrument(obs.Default())
-	queueWait := obs.Default().Histogram("hypersort_engine_queue_wait_ns",
-		"Nanoseconds a request waited for execution capacity (lane queue or machine-pool acquire).")
-	srv := transport.NewServer(eng, transport.ServerOptions{QueueWait: queueWait})
+	srv := transport.NewServer(eng, transport.ServerOptions{QueueWait: obs.QueueWaitHistogram(obs.Default())})
 
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {

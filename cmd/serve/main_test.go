@@ -8,9 +8,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"hypersort"
 	"hypersort/internal/trace"
@@ -313,50 +311,6 @@ func TestServeStatusMapping(t *testing.T) {
 		if got := statusFor(c.err); got != c.want {
 			t.Errorf("%s: statusFor = %d, want %d", c.name, got, c.want)
 		}
-	}
-}
-
-// TestServeBatchedSortsCoalesce drives concurrent sorts on one
-// configuration through the HTTP surface and asserts the dispatcher
-// actually fused them — the production path (serve -> engine -> lane ->
-// fused session run) exercised end to end.
-func TestServeBatchedSortsCoalesce(t *testing.T) {
-	ring := trace.NewRing(1024, 1)
-	eng := hypersort.NewEngine(hypersort.EngineConfig{PoolSize: 1, BatchWorkers: 16, Trace: ring.Record, MaxLinger: 2 * time.Millisecond})
-	srv := httptest.NewServer(newMux(eng, ring, true, hypersort.RouteECube))
-	t.Cleanup(func() {
-		srv.Close()
-		eng.Close()
-	})
-
-	const burst = 16
-	body := sortBody(3, []int64{5}, 64)
-	var wg sync.WaitGroup
-	errs := make([]error, burst)
-	for i := 0; i < burst; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := http.Post(srv.URL+"/v1/sort", "application/json", strings.NewReader(body))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				errs[i] = fmt.Errorf("status %d", resp.StatusCode)
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
-	}
-	mtr := eng.Metrics()
-	if mtr.FusedRequests <= mtr.FusedBatches {
-		t.Fatalf("no coalescing over HTTP: %d fused requests in %d batches", mtr.FusedRequests, mtr.FusedBatches)
 	}
 }
 

@@ -3,16 +3,16 @@ package hypersort
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"hypersort/internal/engine"
 	"hypersort/internal/machine"
 	"hypersort/internal/obs"
 )
 
-// EngineConfig tunes an Engine's resource bounds and its continuous-
-// batching dispatcher. The zero value selects sensible defaults
-// (GOMAXPROCS for both resource bounds, batching on).
+// EngineConfig tunes an Engine's resource bounds and admission. The
+// zero value selects sensible defaults (GOMAXPROCS for both resource
+// bounds, an admission bound of 256 in-flight requests per
+// configuration).
 type EngineConfig struct {
 	// PoolSize bounds the simulated machines kept per configuration.
 	// Each concurrent request on one configuration needs its own
@@ -35,19 +35,7 @@ type EngineConfig struct {
 	// consumer. Leave nil for zero tracing overhead.
 	Trace func(TraceEvent)
 
-	// DisableBatching turns the continuous-batching dispatcher off:
-	// every request leases its own machine (the pool-only behaviour of
-	// earlier releases). Mainly for A/B measurement.
-	DisableBatching bool
-	// MaxBatch caps how many concurrent compatible sort requests one
-	// fused machine run may carry. Values < 1 select the default (8).
-	MaxBatch int
-	// MaxLinger is how long the dispatcher holds a partial batch open
-	// waiting for more requests. 0 (the default) never waits: batches
-	// form only while the machine pool is saturated, adding no latency
-	// at low load. Positive values trade latency for larger batches.
-	MaxLinger time.Duration
-	// AdmissionQueue bounds how many sort requests may wait per
+	// AdmissionQueue bounds how many requests may be in flight per
 	// configuration; beyond it requests fail fast with
 	// ErrAdmissionRejected. Values < 1 select the default (256).
 	AdmissionQueue int
@@ -80,8 +68,8 @@ const (
 )
 
 // ErrAdmissionRejected is found (via errors.Is) in a Result.Err or Sort
-// error when the engine's bounded admission queue for the request's
-// configuration was full. It is the backpressure signal: shed load or
+// error when the request's configuration already had the engine's
+// admission bound of requests in flight. It is the backpressure signal: shed load or
 // retry with backoff. cmd/serve maps it to HTTP 503.
 var ErrAdmissionRejected = engine.ErrAdmissionRejected
 
@@ -122,10 +110,8 @@ type LinkDiedError = machine.LinkDiedError
 // configurations skip the O(rN) cutting-dimension search entirely),
 // pools independent simulated machines per configuration (so concurrent
 // requests run in parallel instead of serializing or racing), and
-// coalesces concurrent compatible sort requests into fused machine runs
-// via a continuous-batching dispatcher (so a saturated pool amortizes
-// lease and dispatch overhead across the queue instead of paying it per
-// request — see EngineConfig's MaxBatch/MaxLinger/AdmissionQueue).
+// bounds each configuration's in-flight requests (see
+// EngineConfig.AdmissionQueue).
 //
 // Limitations: Config.Trace is rejected — a per-run event hook cannot be
 // cached or pooled; use a dedicated Sorter to trace a run. Plan-search
@@ -144,12 +130,7 @@ type Engine struct {
 // per-phase kernel breakdowns. The bundles are shared instruments — two
 // engines in one process accumulate into the same series.
 func NewEngine(cfg EngineConfig) *Engine {
-	eng := engine.NewOpts(cfg.PoolSize, cfg.BatchWorkers, engine.BatchOptions{
-		Disabled:   cfg.DisableBatching,
-		MaxBatch:   cfg.MaxBatch,
-		MaxLinger:  cfg.MaxLinger,
-		QueueDepth: cfg.AdmissionQueue,
-	})
+	eng := engine.NewOpts(cfg.PoolSize, cfg.BatchWorkers, engine.BatchOptions{QueueDepth: cfg.AdmissionQueue})
 	eng.Instrument(obs.Default())
 	if cfg.Trace != nil {
 		eng.SetTrace(machine.TraceFunc(cfg.Trace))
@@ -202,20 +183,18 @@ type Result struct {
 	Err    error
 }
 
-// Close shuts down the engine's dispatch lanes (queued requests are
-// drained and served first) and retires the persistent worker goroutines
-// of its pooled machines. Call it when done serving — typically on
-// server shutdown, after in-flight requests have drained. The engine
-// remains usable afterwards (requests fall back to the unbatched pool
-// path and machines respawn workers on demand), so Close is a resource
-// release, not a poison pill; it is idempotent and safe to defer at
-// construction time.
+// Close retires the persistent worker goroutines of the engine's pooled
+// machines. Call it when done serving — typically on server shutdown,
+// after in-flight requests have drained. The engine remains usable
+// afterwards (machines respawn workers on demand), so Close is a
+// resource release, not a poison pill; it is idempotent and safe to
+// defer at construction time.
 func (e *Engine) Close() { e.eng.Close() }
 
 // EngineMetrics snapshots an engine's lifetime counters: requests
 // served, plan-cache hits and misses, machines constructed (full builds
-// versus pool-clone fast-paths), and the continuous-batching
-// dispatcher's coalescing, rejection, and cancellation counts.
+// versus pool-clone fast-paths), admission rejections and
+// cancellations, and direct-substrate counts.
 type EngineMetrics = engine.Metrics
 
 // Metrics returns a snapshot of the engine's lifetime counters.
@@ -268,17 +247,15 @@ func (e *Engine) DisarmFaults(cfg Config) error {
 }
 
 // Sort sorts keys ascending on the configured faulty hypercube, reusing
-// the engine's cached plan and pooled machines for cfg — and, when other
-// Sorts for the same configuration are in flight, fusing them into one
-// machine run via the continuous-batching dispatcher. Safe for
+// the engine's cached plan and pooled machines for cfg. Safe for
 // concurrent use.
 func (e *Engine) Sort(cfg Config, keys []Key) ([]Key, Stats, error) {
 	return e.SortContext(context.Background(), cfg, keys)
 }
 
 // SortContext is Sort with deadline and cancellation awareness: a
-// request whose context is done before it acquires execution capacity
-// returns promptly with the context's error (check with errors.Is). A
+// request whose context is done on arrival or before it acquires a
+// pooled machine returns promptly with the context's error (check with errors.Is). A
 // context that expires after the simulated run started does not abort
 // it.
 func (e *Engine) SortContext(ctx context.Context, cfg Config, keys []Key) ([]Key, Stats, error) {

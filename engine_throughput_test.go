@@ -1,18 +1,14 @@
-// The continuous-batching throughput rig: many concurrent clients
-// hammering sort requests with small inputs — the dispatch-overhead-
-// dominated regime the fused dispatcher exists for. Two scenarios:
+// The engine throughput rig: many concurrent clients hammering sort
+// requests with small inputs — the per-request-overhead-dominated
+// regime. Two scenarios:
 //
 //   - BenchmarkEngineThroughput (the headline): 64 clients on ONE
-//     configuration, a Q_2 cube that lost a processor. Every request is
-//     fusable with every other, so the dispatcher coalesces the whole
-//     client population into deep fused runs — the continuous-batching
-//     analogue of many requests against one model.
+//     configuration, a Q_2 cube that lost a processor, all contending
+//     for its single pooled machine (or, direct, none at all).
 //
 //   - BenchmarkEngineThroughputMix: the same clients spread over a
-//     degradation ladder of four configurations. Only requests on the
-//     same configuration fuse, so batches are shallower and the pool-only
-//     baseline overlaps four machines; the batching win narrows. E20
-//     records both tables.
+//     degradation ladder of four configurations, so four machines
+//     overlap. E20 and E26 record both tables.
 package hypersort
 
 import (
@@ -34,18 +30,15 @@ const (
 	throughputM       = 16 // keys per request: small-M, dispatch-dominated
 )
 
-// throughputModes are the engine configurations under comparison: the
-// fused dispatcher, the same engine with batching disabled (every
-// request takes the unbatched pool path), and the dispatcher routing
-// fused batches to the direct host-speed substrate.
+// throughputModes are the substrates under comparison: every sort on a
+// leased simulated machine, or every sort inline on the direct
+// host-speed substrate.
 var throughputModes = []struct {
-	name     string
-	disabled bool
-	mode     engine.Mode
+	name string
+	mode engine.Mode
 }{
-	{"batching", false, engine.ModeSim},
-	{"pool-only", true, engine.ModeSim},
-	{"direct", false, engine.ModeDirect},
+	{"sim", engine.ModeSim},
+	{"direct", engine.ModeDirect},
 }
 
 // throughputConfigs is the mix scenario's configuration ladder: a
@@ -64,10 +57,10 @@ func throughputConfigs() []engine.Config {
 
 // runThroughput drives one mode of one scenario: clients goroutines
 // work-steal requests from a shared counter until b.N are served, each
-// request picking its configuration through pick. Reports req/s, the p99
-// nanoseconds a request waited for execution capacity (from the
-// engine's own queue-wait histogram), and the mean fused batch depth.
-func runThroughput(b *testing.B, disabled bool, mode engine.Mode, configs []engine.Config, pick func(client int, i int64) int) {
+// request picking its configuration through pick. Reports req/s and the
+// p99 nanoseconds a request waited for a machine (from the engine's own
+// queue-wait histogram).
+func runThroughput(b *testing.B, mode engine.Mode, configs []engine.Config, pick func(client int, i int64) int) {
 	rng := xrand.New(7)
 	inputs := make([][]sortutil.Key, throughputClients)
 	for i := range inputs {
@@ -78,9 +71,8 @@ func runThroughput(b *testing.B, disabled bool, mode engine.Mode, configs []engi
 	// run's waits, not the process-lifetime default registry shared with
 	// every other test.
 	reg := obs.NewRegistry()
-	// One machine per configuration: a saturated pool is exactly the
-	// regime continuous batching targets.
-	e := engine.NewOpts(1, throughputClients, engine.BatchOptions{Disabled: disabled, MaxBatch: 32, MaxLinger: 100 * time.Microsecond})
+	// One machine per configuration: a saturated pool.
+	e := engine.New(1, throughputClients)
 	e.SetMode(mode)
 	e.Instrument(reg)
 	defer e.Close()
@@ -123,52 +115,46 @@ func runThroughput(b *testing.B, disabled bool, mode engine.Mode, configs []engi
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/elapsed.Seconds(), "req/s")
 	b.ReportMetric(float64(em.QueueWait.Quantile(0.99)), "p99-wait-ns")
-	mtr := e.Metrics()
-	if mtr.FusedBatches > 0 {
-		b.ReportMetric(float64(mtr.FusedRequests)/float64(mtr.FusedBatches), "reqs/batch")
-	}
-	if mtr.DirectBatches > 0 {
-		b.ReportMetric(float64(mtr.DirectRequests)/float64(mtr.DirectBatches), "reqs/batch")
-	}
 }
 
 // BenchmarkEngineThroughput is the headline scenario: 64 concurrent
 // clients issuing small sorts against one damaged cube (Q_2 with one
-// fault, three working processors) — batching on (fused dispatches)
-// versus off (pool-only baseline).
+// fault, three working processors) — simulated versus direct.
 //
-// Run with GOMAXPROCS=4 to reproduce the E20 table:
+// Run with GOMAXPROCS=4 to reproduce the E26 table:
 //
 //	GOMAXPROCS=4 go test -run '^$' -bench BenchmarkEngineThroughput -benchtime 2s .
 func BenchmarkEngineThroughput(b *testing.B) {
 	hot := []engine.Config{{Dim: 2, Faults: []cube.NodeID{3}}}
 	for _, mode := range throughputModes {
 		b.Run(mode.name, func(b *testing.B) {
-			runThroughput(b, mode.disabled, mode.mode, hot, func(int, int64) int { return 0 })
+			runThroughput(b, mode.mode, hot, func(int, int64) int { return 0 })
 		})
 	}
 }
 
 // BenchmarkEngineThroughputMix spreads the same client population over
 // the four-rung degradation ladder, each request cycling to the next
-// rung — the adversarial case for coalescing, since at most a quarter
-// of the in-flight requests share a lane.
+// rung, so at most a quarter of the in-flight requests contend for any
+// one machine.
 func BenchmarkEngineThroughputMix(b *testing.B) {
 	configs := throughputConfigs()
 	for _, mode := range throughputModes {
 		b.Run(mode.name, func(b *testing.B) {
-			runThroughput(b, mode.disabled, mode.mode, configs, func(_ int, i int64) int { return int(i) % len(configs) })
+			runThroughput(b, mode.mode, configs, func(_ int, i int64) int { return int(i) % len(configs) })
 		})
 	}
 }
 
 // TestEngineThroughputSmoke is the CI-sized version of the rig: a burst
-// of concurrent small sorts against one machine must complete correctly
-// AND actually coalesce — the dispatcher's coalescing counters are the
-// assertion, so a regression that silently routes everything down the
-// unbatched path fails here, not in a benchmark nobody is watching.
+// of concurrent small direct-eligible sorts must complete correctly, ALL
+// on the inline direct route, and none refused by admission — so a
+// regression that silently sends eligible sorts to the machine pool, or
+// that admits concurrent requests wrongly, fails here, not in a
+// benchmark nobody is watching.
 func TestEngineThroughputSmoke(t *testing.T) {
-	e := engine.NewOpts(1, 32, engine.BatchOptions{MaxLinger: 2 * time.Millisecond})
+	e := engine.New(1, 32)
+	e.SetMode(engine.ModeDirect)
 	defer e.Close()
 	cfg := engine.Config{Dim: 4, Faults: []cube.NodeID{3}}
 	rng := xrand.New(9)
@@ -203,9 +189,10 @@ func TestEngineThroughputSmoke(t *testing.T) {
 		}
 	}
 	mtr := e.Metrics()
-	if mtr.FusedRequests <= mtr.FusedBatches {
-		t.Fatalf("no coalescing: %d fused requests in %d batches (pool of 1, burst of %d)",
-			mtr.FusedRequests, mtr.FusedBatches, burst)
+	if mtr.DirectRequests != burst {
+		t.Fatalf("DirectRequests = %d, want %d: an eligible sort left the direct route", mtr.DirectRequests, burst)
 	}
-	t.Logf("coalescing: %d requests in %d fused batches", mtr.FusedRequests, mtr.FusedBatches)
+	if mtr.AdmissionRejected != 0 {
+		t.Fatalf("AdmissionRejected = %d under a %d-burst, want 0", mtr.AdmissionRejected, burst)
+	}
 }

@@ -198,7 +198,7 @@ func (c *Ctx) NextTag() machine.Tag {
 
 // UseScratch seeds the context's double-buffered arena with a
 // caller-owned buffer, so a caller that runs many kernels over
-// fixed-size chunks (the engine's fused dispatch) can recycle the
+// fixed-size chunks (the engine's pooled sort runs) can recycle the
 // scratch across runs instead of paying one allocation per context. The
 // buffer must not alias the chunk; after the kernel finishes the
 // caller's buffer and the chunk may have traded places (the arena

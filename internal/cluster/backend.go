@@ -17,9 +17,7 @@ import (
 // Backend is one shard as the router sees it: the engine request
 // surface plus the health and load signals routing decisions consume.
 type Backend interface {
-	// Do executes one request. Implementations take the direct
-	// fast path when they have one; the router has already admitted
-	// the request.
+	// Do executes one request; the router has already admitted it.
 	Do(ctx context.Context, req engine.Request) engine.Result
 	InjectFault(cfg engine.Config, injs ...machine.Injection) error
 	DisarmFaults(cfg engine.Config) error
@@ -48,14 +46,8 @@ type localShard struct {
 	eng *engine.Engine
 }
 
-// Do serves direct-eligible sorts inline on the caller's goroutine —
-// the router already admitted the request, so the lane's bounded queue
-// (the only thing a lane adds to a direct batch) is redundant — and
-// hands everything else to the engine's ordinary dispatch.
+// Do serves req on the shard engine's one route for it.
 func (b *localShard) Do(ctx context.Context, req engine.Request) engine.Result {
-	if res, ok := b.eng.DoDirect(req); ok {
-		return res
-	}
 	return b.eng.DoContext(ctx, req)
 }
 

@@ -1,10 +1,10 @@
 // Package cluster shards the request engine the way the paper shards a
 // faulty hypercube: N independent engine shards — each with its own plan
-// cache, machine pools, and dispatch lanes — behind a front router that
-// consistent-hashes requests by plan key, so traffic on one
-// configuration keeps landing on (and fusing within) one shard, and the
-// global mutexes a single engine serializes on (plan-key interning, lane
-// lookup, pool maps) split N ways.
+// cache and machine pools — behind a front router that consistent-hashes
+// requests by plan key, so traffic on one configuration keeps landing on
+// one shard (one warm plan cache, one warm pool), and the global mutexes
+// a single engine serializes on (plan-key interning, pool maps) split N
+// ways.
 //
 // The router is the cluster's whole control plane, and it is lock-free:
 // an immutable hash ring, per-shard in-flight atomics, and three
@@ -22,16 +22,13 @@
 //     the shed limit, the router refuses the request BEFORE it touches
 //     any queue, wrapping engine.ErrAdmissionRejected so the HTTP layer
 //     answers the same 503-with-Retry-After contract as per-shard
-//     admission. This is the cluster-wide backpressure the per-lane
-//     bounded queues cannot provide on their own.
+//     admission. This is the cluster-wide backpressure the per-shard
+//     in-flight caps cannot provide on their own.
 //
-// Direct-eligible sorts take an inline fast path: after the router
-// admits a request, the target shard serves it on the caller's
-// goroutine via Engine.DoDirect — no lane hop, no dispatcher handoff —
-// because for the direct substrate a lane adds admission control and
-// nothing else, and admission just happened at the router. Everything
-// else (simulated sorts, selection ops, armed-chaos configurations)
-// flows through the shard engine's ordinary dispatch lanes unchanged.
+// After routing, the target shard serves the request exactly as a
+// standalone engine would, on the caller's goroutine: direct-eligible
+// sorts run inline on the direct substrate, everything else (simulated
+// sorts, selection ops, armed-chaos configurations) on a leased machine.
 package cluster
 
 import (
@@ -58,9 +55,13 @@ import (
 // Retry-After in cmd/serve) need no new case.
 var ErrSaturated = errors.New("cluster: all eligible shards saturated")
 
+// DefaultSpillHighWater is the SpillHighWater Options selects when
+// unset.
+const DefaultSpillHighWater = 16
+
 // Options configures a Cluster. The zero value selects sensible
-// defaults: GOMAXPROCS shards, one replica, spill at twice the fused
-// batch depth, shed at the per-lane admission-queue bound.
+// defaults: GOMAXPROCS shards, one replica, spill at
+// DefaultSpillHighWater, shed at the engine's admission bound.
 type Options struct {
 	// Shards is the number of independent engine shards. Values < 1
 	// select GOMAXPROCS — one shard per processor, the goroutine-domain
@@ -72,13 +73,14 @@ type Options struct {
 	Replicas int
 	// SpillHighWater is the in-flight request count on a key's home
 	// shard above which the router considers spilling to a replica.
-	// Values < 1 select the default (2x the fused batch depth).
+	// Values < 1 select DefaultSpillHighWater.
 	SpillHighWater int
 	// ShedLimit is the per-shard in-flight count at which a shard stops
 	// being eligible; when home and all replicas reach it the request is
-	// shed with ErrSaturated. Values < 1 select the default (the
-	// per-lane admission queue depth). Always normalized to exceed
-	// SpillHighWater, or spill could never precede shed.
+	// shed with ErrSaturated. Values < 1 select the shards' admission
+	// bound (Batch.QueueDepth, else engine.DefaultQueueDepth). Always
+	// normalized to exceed SpillHighWater, or spill could never precede
+	// shed.
 	ShedLimit int
 	// VirtualNodes is the ring points per shard. Values < 1 select the
 	// default (128), plenty for near-uniform spread at any realistic
@@ -89,7 +91,7 @@ type Options struct {
 	// concurrency (see engine.NewOpts); values < 1 mean GOMAXPROCS.
 	PoolSize int
 	Workers  int
-	// Batch tunes each shard's continuous-batching dispatcher.
+	// Batch tunes each shard's admission bound.
 	Batch engine.BatchOptions
 	// Mode, OracleSample, and Trace are applied to every shard (see the
 	// corresponding Engine setters).
@@ -161,17 +163,13 @@ func (opts *Options) normalize(shards int) {
 	if opts.Replicas > opts.Shards-1 {
 		opts.Replicas = opts.Shards - 1
 	}
-	maxBatch := opts.Batch.MaxBatch
-	if maxBatch < 1 {
-		maxBatch = 8 // engine.NewOpts's default fused depth
-	}
 	if opts.SpillHighWater < 1 {
-		opts.SpillHighWater = 2 * maxBatch
+		opts.SpillHighWater = DefaultSpillHighWater
 	}
 	if opts.ShedLimit < 1 {
 		opts.ShedLimit = opts.Batch.QueueDepth
 		if opts.ShedLimit < 1 {
-			opts.ShedLimit = 256 // engine.NewOpts's default queue depth
+			opts.ShedLimit = engine.DefaultQueueDepth
 		}
 	}
 	if opts.ShedLimit <= opts.SpillHighWater {
@@ -252,9 +250,9 @@ func (c *Cluster) Instrument(r *obs.Registry) {
 	}
 }
 
-// Close shuts down every shard backend: dispatch lanes drain and pooled
-// machine workers retire in-process; transport clients close in
-// multi-process mode. Idempotent, like Engine.Close.
+// Close shuts down every shard backend: pooled machine workers retire
+// in-process; transport clients close in multi-process mode. Idempotent,
+// like Engine.Close.
 func (c *Cluster) Close() {
 	for _, s := range c.shards {
 		s.be.Close()
@@ -537,14 +535,11 @@ func (c *Cluster) Metrics() Metrics {
 		m.Engine.PlanMisses += sm.PlanMisses
 		m.Engine.MachinesBuilt += sm.MachinesBuilt
 		m.Engine.MachinesCloned += sm.MachinesCloned
-		m.Engine.FusedBatches += sm.FusedBatches
-		m.Engine.FusedRequests += sm.FusedRequests
 		m.Engine.AdmissionRejected += sm.AdmissionRejected
 		m.Engine.Cancelled += sm.Cancelled
 		m.Engine.Replans += sm.Replans
 		m.Engine.Unrecoverable += sm.Unrecoverable
 		m.Engine.DirectRequests += sm.DirectRequests
-		m.Engine.DirectBatches += sm.DirectBatches
 		m.Engine.OracleRuns += sm.OracleRuns
 		m.Engine.ParityBreaks += sm.ParityBreaks
 	}

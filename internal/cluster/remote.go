@@ -26,8 +26,8 @@ func NewRemoteShard(cl *transport.Client) *RemoteShard { return &RemoteShard{cl:
 // Addr returns the shard process address.
 func (b *RemoteShard) Addr() string { return b.cl.Addr() }
 
-// Do forwards one request over the wire. The shard runs its own direct
-// fast path, so no DoDirect probing happens proxy-side.
+// Do forwards one request over the wire; the shard process picks the
+// request's route.
 func (b *RemoteShard) Do(ctx context.Context, req engine.Request) engine.Result {
 	return b.cl.Do(ctx, req)
 }

@@ -154,9 +154,9 @@ func FTSortLayout(m *machine.Machine, layout *Layout, keys []sortutil.Key, opts 
 // SortRun is one prepared FTSort execution: the validated plan/machine
 // pairing, the distributed key shares, the per-processor output slots,
 // and the SPMD kernel closure — everything FTSortLayout does around the
-// machine run, split from the run itself so the engine's continuous-
-// batching dispatcher can fuse several prepared sorts into one machine
-// dispatch (machine.Session.RunBatch) and gather each result afterwards.
+// machine run, split from the run itself so a caller that sorts over and
+// over on one machine (the engine's pooled leases) can keep the run and
+// Reuse its arenas.
 type SortRun struct {
 	layout *Layout
 	opts   Options
@@ -215,12 +215,20 @@ func NewSortRun(m *machine.Machine, layout *Layout, keys []sortutil.Key, opts Op
 	return r, nil
 }
 
+// Fits reports whether Reuse may re-arm r for a request on layout with
+// opts: the same layout and the same kernel-shaping options. A StepHook
+// on either side never fits, since hooks cannot be compared.
+func (r *SortRun) Fits(layout *Layout, opts Options) bool {
+	return r.layout == layout && r.opts.Protocol == opts.Protocol &&
+		r.opts.AccountDistribution == opts.AccountDistribution &&
+		r.opts.Phases == opts.Phases && r.opts.StepHook == nil && opts.StepHook == nil
+}
+
 // Reuse re-arms a finished run for a fresh request on the same layout
 // and options, redistributing keys into the retained arenas. It skips
 // NewSortRun's plan/machine validation — the caller vouches that the
-// machine configuration matches the one the run was built for (the
-// engine's dispatch lanes serve exactly one configuration, so the check
-// would re-verify an invariant of the lane). Steady state it allocates
+// machine is the one the run was built for (the engine keeps each run on
+// the lease of the machine that built it). Steady state it allocates
 // nothing: only a change in padded share geometry regrows the arenas.
 func (r *SortRun) Reuse(keys []sortutil.Key) error {
 	clear(r.out)
@@ -251,10 +259,9 @@ func (r *SortRun) distribute(keys []sortutil.Key) error {
 	return nil
 }
 
-// Kernel returns the run's SPMD program, suitable for machine.Run or a
-// fused machine.Session sub-run on the layout's Working participants.
-// The closure is cached: successive calls (one per Reuse cycle) return
-// the same function.
+// Kernel returns the run's SPMD program, suitable for machine.Run on
+// the layout's Working participants. The closure is cached: successive
+// calls (one per Reuse cycle) return the same function.
 func (r *SortRun) Kernel() machine.Kernel {
 	if r.kern == nil {
 		r.kern = r.runKernel

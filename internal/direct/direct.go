@@ -254,7 +254,7 @@ func (sch *Schedule) Predict(nKeys int, cost machine.CostModel) (machine.Result,
 // parallelThreshold is the padded key count (p*q) below which Sort runs
 // single-threaded: under it, the local sorts and rounds finish in tens
 // of microseconds and goroutine fan-out would cost more than it saves.
-// Batch-level parallelism (many requests on many lanes) covers the
+// Request-level parallelism (many concurrent callers) covers the
 // small-input regime instead.
 const parallelThreshold = 1 << 15
 

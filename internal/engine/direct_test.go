@@ -57,9 +57,6 @@ func TestModeDirectServesSortsWithoutMachines(t *testing.T) {
 	if m.DirectRequests != 1 {
 		t.Errorf("DirectRequests = %d, want 1", m.DirectRequests)
 	}
-	if m.DirectBatches != 1 {
-		t.Errorf("DirectBatches = %d, want 1", m.DirectBatches)
-	}
 	if dRes.Res.Makespan <= 0 || dRes.Res.Comparisons <= 0 {
 		t.Errorf("predicted Result looks empty: %+v", dRes.Res)
 	}
@@ -198,69 +195,36 @@ func TestDirectOracleSampling(t *testing.T) {
 	}
 }
 
-// TestModeDirectUnbatched covers the batching-disabled route: eligible
-// sorts take the direct substrate straight from do(), no lanes involved.
+// TestModeDirectUnbatched pins DoDirect, the inline probe kept for
+// callers that only want the direct route: it serves an eligible sort
+// exactly as Do would, and declines ineligible requests without serving
+// them.
 func TestModeDirectUnbatched(t *testing.T) {
-	e := NewOpts(1, 1, BatchOptions{Disabled: true})
+	e := New(1, 1)
 	defer e.Close()
 	e.SetMode(ModeDirect)
 	cfg := Config{Dim: 4}
 	keys := directTestKeys(500, 5)
-	res := e.Do(Request{Config: cfg, Op: OpSort, Keys: keys})
-	if res.Err != nil {
-		t.Fatal(res.Err)
+	res, ok := e.DoDirect(Request{Config: cfg, Op: OpSort, Keys: keys})
+	if !ok || res.Err != nil {
+		t.Fatalf("eligible sort: ok=%v err=%v", ok, res.Err)
 	}
-	if !res.Direct {
-		t.Fatal("unbatched eligible sort not served direct")
+	if !res.Direct || !slices.Equal(res.Keys, sortedRef(keys)) {
+		t.Fatal("eligible sort not served direct and sorted")
+	}
+	if _, ok := e.DoDirect(Request{Config: cfg, Op: OpMedian, Keys: keys}); ok {
+		t.Error("DoDirect served a selection op")
+	}
+	half := cfg
+	half.Protocol = bitonic.HalfExchange
+	if _, ok := e.DoDirect(Request{Config: half, Op: OpSort, Keys: keys}); ok {
+		t.Error("DoDirect served a half-exchange sort")
 	}
 	m := e.Metrics()
 	if m.MachinesBuilt != 0 {
 		t.Errorf("MachinesBuilt = %d, want 0", m.MachinesBuilt)
 	}
-	if m.DirectBatches != 0 {
-		t.Errorf("DirectBatches = %d, want 0 (no lanes with batching disabled)", m.DirectBatches)
-	}
-	if m.DirectRequests != 1 {
-		t.Errorf("DirectRequests = %d, want 1", m.DirectRequests)
-	}
-}
-
-// TestDirectBatchCoalescing drives concurrent direct-mode sorts through
-// the dispatcher and checks they coalesce into direct batches with
-// bit-identical results to the simulator.
-func TestDirectBatchCoalescing(t *testing.T) {
-	e := New(1, 8)
-	defer e.Close()
-	e.SetMode(ModeDirect)
-	cfg := Config{Dim: 4, Faults: []cube.NodeID{3}}
-
-	const n = 64
-	reqs := make([]Request, n)
-	for i := range reqs {
-		reqs[i] = Request{Config: cfg, Op: OpSort, Keys: directTestKeys(400, uint64(i))}
-	}
-	results := e.Batch(reqs)
-	for i, res := range results {
-		if res.Err != nil {
-			t.Fatalf("request %d: %v", i, res.Err)
-		}
-		if !res.Direct {
-			t.Fatalf("request %d not served direct", i)
-		}
-		want := slices.Clone(reqs[i].Keys)
-		slices.Sort(want)
-		if !slices.Equal(res.Keys, want) {
-			t.Fatalf("request %d mis-sorted", i)
-		}
-	}
-	m := e.Metrics()
-	if m.DirectRequests != n {
-		t.Errorf("DirectRequests = %d, want %d", m.DirectRequests, n)
-	}
-	if m.DirectBatches == 0 || m.DirectBatches > n {
-		t.Errorf("DirectBatches = %d, want in [1, %d]", m.DirectBatches, n)
-	}
-	if m.MachinesBuilt != 0 {
-		t.Errorf("MachinesBuilt = %d, want 0", m.MachinesBuilt)
+	if m.DirectRequests != 1 || m.Requests != 1 {
+		t.Errorf("DirectRequests = %d, Requests = %d, want 1 and 1", m.DirectRequests, m.Requests)
 	}
 }

@@ -11,9 +11,7 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"slices"
-	"time"
 
 	"hypersort/internal/bitonic"
 	"hypersort/internal/direct"
@@ -151,7 +149,7 @@ func (e *Engine) serveDirect(key partition.PlanKey, cfg Config, entry *planEntry
 // the check rather than fail the already-served request.
 func (e *Engine) shadowOracle(key partition.PlanKey, cfg Config, entry *planEntry, req Request, got Result) {
 	pl := e.poolFor(poolKey{pk: key, cost: cfg.Cost}, cfg)
-	l, err := pl.acquire(context.Background(), e.stop)
+	l, err := pl.acquire(context.Background())
 	if err != nil {
 		return
 	}
@@ -179,84 +177,15 @@ func (e *Engine) shadowOracle(key partition.PlanKey, cfg Config, entry *planEntr
 	}
 }
 
-// DoDirect serves req inline on the caller's goroutine if — and only if
-// — it is direct-eligible right now: direct mode selected, a sort on the
-// full-block protocol without distribution accounting, a valid
-// configuration whose plan exists (or builds cleanly), and no chaos
-// schedule armed on its pool. It returns (result, true) when it served
-// the request and (zero, false) when the caller should fall back to
-// DoContext — including on plan failure, so the ordinary path owns the
-// error accounting for doomed configurations.
-//
-// This is the cluster router's fast path: after the router has admitted
-// a request, a dispatch lane would add only its bounded admission queue
-// ahead of the same serveDirect call, so skipping the lane removes two
-// goroutine handoffs per request without weakening any protocol. Callers
-// that need admission control must provide their own (the cluster's
-// shed limit) — DoDirect itself never queues and never rejects.
-func (e *Engine) DoDirect(req Request) (res Result, ok bool) {
+// DoDirect serves req if it takes the direct route under the engine's
+// mode — a sort on the full-block protocol without distribution
+// accounting or multipath routing — and reports (zero, false) without
+// serving it otherwise. A served request runs exactly as Do would run
+// it, inline on the caller's goroutine: admission, planning errors, and
+// the armed-chaos fallback to the simulator included.
+func (e *Engine) DoDirect(req Request) (Result, bool) {
 	if !e.directEligible(req.Config, req.Op) {
 		return Result{}, false
 	}
-	if err := validate(req.Config); err != nil {
-		return Result{}, false
-	}
-	key := e.planKey(req.Config)
-	entry, err := e.plan(key, req.Config)
-	if err != nil {
-		return Result{}, false
-	}
-	if e.poolArmed(key, req.Config) {
-		return Result{}, false
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			res, ok = Result{Err: fmt.Errorf("engine: request panicked: %v", r)}, true
-		}
-	}()
-	em := e.em
-	var start time.Time
-	if em != nil {
-		start = time.Now()
-	}
-	res = e.serveDirect(key, req.Config, entry, req)
-	e.requests.Add(1)
-	if em != nil {
-		em.Requests.Inc()
-		if res.Err != nil {
-			em.Failures.Inc()
-		}
-		em.Latency.Observe(time.Since(start).Nanoseconds())
-	}
-	return res, true
-}
-
-// directOK reports whether this lane's batches may execute on the direct
-// substrate right now. Re-checked per batch: arming chaos flips the lane
-// back to fused simulated runs, disarming flips it forward again.
-func (ln *lane) directOK() bool {
-	return ln.e.directEligible(ln.cfg, OpSort) && !ln.e.poolArmed(ln.key.pk, ln.cfg)
-}
-
-// runDirect serves one gathered batch on the direct substrate, inline on
-// the dispatcher goroutine — no machine lease, no runner handoff; the
-// executor parallelizes internally for large inputs, and batch-level
-// concurrency comes from the lanes themselves.
-func (ln *lane) runDirect(batch []*item) {
-	e := ln.e
-	n := 0
-	for _, it := range batch {
-		if ln.claim(it) {
-			it.finish(e.serveDirect(ln.key.pk, ln.cfg, ln.entry, it.req))
-			n++
-		}
-	}
-	if n == 0 {
-		return
-	}
-	e.directBat.Add(1)
-	if e.em != nil {
-		e.em.DirectBatches.Inc()
-		e.em.BatchSize.Observe(int64(n))
-	}
+	return e.Do(req), true
 }

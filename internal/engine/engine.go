@@ -17,6 +17,12 @@
 //     returned machine when it does not) and returns it afterwards.
 //     Plans are immutable and shared by all machines of a configuration.
 //
+//   - One route per request: an eligible sort (see Mode) runs on the
+//     direct substrate inline on the caller's goroutine; everything else
+//     leases a machine. Admission is one atomic in-flight count per
+//     configuration, refused with ErrAdmissionRejected at the
+//     BatchOptions.QueueDepth bound.
+//
 // Requests are value-in/value-out and isolated: Do never panics the
 // caller, Batch never lets one bad request poison its neighbors, and no
 // request can observe another's keys — each run owns a private machine,
@@ -26,6 +32,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -56,11 +63,9 @@ type Config struct {
 	Protocol            bitonic.Protocol
 	AccountDistribution bool
 	// Routing selects the machine's path discipline (default
-	// RouteSingle). RouteMultipath requests get congestion-aware plans,
-	// congestion-priced machines, and — because the occupancy replay is
-	// a per-run pass — the unbatched pool path instead of fused
-	// dispatch lanes; they are also never direct-eligible (the §3
-	// predictor has no congestion model).
+	// RouteSingle). RouteMultipath requests get congestion-aware plans
+	// and congestion-priced machines; they are never direct-eligible
+	// (the §3 predictor has no congestion model).
 	Routing machine.RoutingPolicy
 }
 
@@ -140,14 +145,14 @@ type Metrics struct {
 	// the template); MachinesCloned counts Clone fast-path constructions.
 	MachinesBuilt  int64
 	MachinesCloned int64
-	// FusedBatches counts fused dispatches (one machine lease each) and
-	// FusedRequests the requests they carried; FusedRequests greater
-	// than FusedBatches means the dispatcher coalesced concurrent work.
+	// FusedBatches and FusedRequests are always 0: the engine runs
+	// every request on its own. They stay for existing /v1/metrics
+	// readers.
 	FusedBatches  int64
 	FusedRequests int64
 	// AdmissionRejected counts requests refused with
 	// ErrAdmissionRejected; Cancelled counts requests whose context was
-	// cancelled while queued.
+	// cancelled while they waited for a machine.
 	AdmissionRejected int64
 	Cancelled         int64
 	// Replans counts successful hot replans after mid-run injected
@@ -156,10 +161,8 @@ type Metrics struct {
 	Replans       int64
 	Unrecoverable int64
 	// DirectRequests counts requests served by the direct host-speed
-	// substrate (no machine lease, predicted Result); DirectBatches
-	// counts dispatcher batches executed directly.
+	// substrate (no machine lease, predicted Result).
 	DirectRequests int64
-	DirectBatches  int64
 	// OracleRuns counts sampled direct results re-executed on the
 	// simulator oracle; ParityBreaks counts oracle runs whose sorted
 	// output differed from the direct output (any nonzero value is a
@@ -168,19 +171,19 @@ type Metrics struct {
 	ParityBreaks int64
 }
 
-// Engine caches plans, pools machines, and coalesces concurrent
-// compatible sort requests into fused machine runs (see lane). The zero
-// value is not usable; construct with New or NewOpts. All methods are
-// safe for concurrent use.
+// Engine caches plans and pools machines. The zero value is not
+// usable; construct with New or NewOpts. All methods are safe for
+// concurrent use.
 type Engine struct {
 	poolSize int
 	workers  int
-	batch    BatchOptions // normalized: see NewOpts
+	// admit bounds each configuration's in-flight requests (see
+	// BatchOptions.QueueDepth).
+	admit int64
 
 	mu    sync.Mutex
 	plans map[partition.PlanKey]*planEntry
 	pools map[poolKey]*pool
-	lanes map[laneKey]*lane
 
 	// pkIntern maps a configuration's fingerprint bytes to the one
 	// durable PlanKey string for it, so the per-request path builds the
@@ -195,34 +198,17 @@ type Engine struct {
 	mode         Mode
 	oracleSample int
 
-	// Dispatcher lifecycle: stop tells lane dispatchers to drain and
-	// exit; wg tracks dispatchers and in-flight fused runners; closed
-	// (under closeMu) gates new lane submissions so Close cannot strand
-	// a queued request. Do keeps working after Close via the unbatched
-	// path.
-	closeMu sync.RWMutex
-	closed  bool
-	stop    chan struct{}
-	wg      sync.WaitGroup
-
-	// items recycles queued-request descriptors (and their rendezvous
-	// channels) across submissions; see item.
-	items sync.Pool
-
 	requests   atomic.Int64
 	planHits   atomic.Int64
 	planMisses atomic.Int64
 	built      atomic.Int64
 	cloned     atomic.Int64
-	fusedBat   atomic.Int64
-	fusedReq   atomic.Int64
 	rejected   atomic.Int64
 	cancelled  atomic.Int64
 	replans    atomic.Int64
 	unrecov    atomic.Int64
 
 	directReq    atomic.Int64
-	directBat    atomic.Int64
 	oracleRuns   atomic.Int64
 	parityBreaks atomic.Int64
 	// oracleTick counts direct results for 1-in-N oracle sampling.
@@ -242,12 +228,15 @@ type Engine struct {
 // a pure function of the plan that would otherwise be rebuilt on every
 // request. The direct-substrate artifacts ride along: the compiled
 // schedule (single-flighted like the plan) and a pool of executors,
-// since an Exec's retained arenas are single-request.
+// since an Exec's retained arenas are single-request. inflight is the
+// configuration's admission count (see Engine.admit).
 type planEntry struct {
 	once   sync.Once
 	plan   *partition.Plan
 	layout *core.Layout
 	err    error
+
+	inflight atomic.Int64
 
 	directOnce sync.Once
 	sched      *direct.Schedule
@@ -262,15 +251,35 @@ type poolKey struct {
 	cost machine.CostModel
 }
 
-// New builds an engine with default batching options. poolSize bounds
-// the simulated machines kept per configuration and workers bounds
-// concurrently executing batch requests; values < 1 select GOMAXPROCS.
+// ErrAdmissionRejected is reported (wrapped) in Result.Err when a
+// request arrives while its configuration already has the admission
+// bound's worth of requests in flight. It is the engine's backpressure
+// signal: the caller should shed or retry with backoff rather than pile
+// deeper.
+var ErrAdmissionRejected = errors.New("engine: admission queue full")
+
+// DefaultQueueDepth is the admission bound BatchOptions.QueueDepth
+// selects when unset.
+const DefaultQueueDepth = 256
+
+// BatchOptions tunes request admission.
+type BatchOptions struct {
+	// QueueDepth bounds each configuration's in-flight requests; an
+	// arrival finding the bound reached is rejected with
+	// ErrAdmissionRejected. Values < 1 select DefaultQueueDepth.
+	QueueDepth int
+}
+
+// New builds an engine with the default admission bound. poolSize
+// bounds the simulated machines kept per configuration and workers
+// bounds concurrently executing batch requests; values < 1 select
+// GOMAXPROCS.
 func New(poolSize, workers int) *Engine {
 	return NewOpts(poolSize, workers, BatchOptions{})
 }
 
-// NewOpts is New with explicit continuous-batching options (zero-value
-// fields select the defaults documented on BatchOptions).
+// NewOpts is New with explicit admission options (zero-value fields
+// select the defaults documented on BatchOptions).
 func NewOpts(poolSize, workers int, batch BatchOptions) *Engine {
 	if poolSize < 1 {
 		poolSize = runtime.GOMAXPROCS(0)
@@ -278,24 +287,16 @@ func NewOpts(poolSize, workers int, batch BatchOptions) *Engine {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if batch.MaxBatch < 1 {
-		batch.MaxBatch = defaultMaxBatch
-	}
 	if batch.QueueDepth < 1 {
-		batch.QueueDepth = defaultQueueDepth
-	}
-	if batch.MaxLinger < 0 {
-		batch.MaxLinger = 0
+		batch.QueueDepth = DefaultQueueDepth
 	}
 	return &Engine{
 		poolSize: poolSize,
 		workers:  workers,
-		batch:    batch,
+		admit:    int64(batch.QueueDepth),
 		plans:    make(map[partition.PlanKey]*planEntry),
 		pools:    make(map[poolKey]*pool),
-		lanes:    make(map[laneKey]*lane),
 		pkIntern: make(map[string]partition.PlanKey),
-		stop:     make(chan struct{}),
 	}
 }
 
@@ -320,22 +321,13 @@ func (e *Engine) planKey(cfg Config) partition.PlanKey {
 	return pk
 }
 
-// Close shuts down the dispatch lanes — queued requests are drained and
-// served, then the dispatcher and runner goroutines exit — and retires
-// the persistent worker goroutines of every pooled machine. Call it when
-// the engine is done serving — e.g. on server shutdown — after all
-// in-flight requests have completed; requests issued after Close still
-// work (they take the unbatched pool path, and a closed machine
-// respawns its workers on the next run) but lose the warm-worker and
-// fusion amortization. Close is idempotent.
+// Close retires the persistent worker goroutines of every pooled
+// machine. Call it when the engine is done serving — e.g. on server
+// shutdown — after all in-flight requests have completed; requests
+// issued after Close still work (a closed machine respawns its workers
+// on the next run) but lose the warm-worker amortization. Close is
+// idempotent.
 func (e *Engine) Close() {
-	e.closeMu.Lock()
-	if !e.closed {
-		e.closed = true
-		close(e.stop)
-	}
-	e.closeMu.Unlock()
-	e.wg.Wait()
 	e.mu.Lock()
 	pools := make([]*pool, 0, len(e.pools))
 	for _, p := range e.pools {
@@ -374,14 +366,11 @@ func (e *Engine) Metrics() Metrics {
 		PlanMisses:        e.planMisses.Load(),
 		MachinesBuilt:     e.built.Load(),
 		MachinesCloned:    e.cloned.Load(),
-		FusedBatches:      e.fusedBat.Load(),
-		FusedRequests:     e.fusedReq.Load(),
 		AdmissionRejected: e.rejected.Load(),
 		Cancelled:         e.cancelled.Load(),
 		Replans:           e.replans.Load(),
 		Unrecoverable:     e.unrecov.Load(),
 		DirectRequests:    e.directReq.Load(),
-		DirectBatches:     e.directBat.Load(),
 		OracleRuns:        e.oracleRuns.Load(),
 		ParityBreaks:      e.parityBreaks.Load(),
 	}
@@ -518,11 +507,11 @@ func (e *Engine) Do(req Request) Result {
 }
 
 // DoContext is Do with deadline and cancellation awareness: if ctx is
-// done before the request acquires execution capacity (a lane slot or a
-// pooled machine), the request returns promptly with the context's error
-// wrapped in Result.Err, leaking no pool token or queue slot. A context
-// that expires mid-run does not abort the simulation — runs are short
-// and a partially executed simulated machine is worthless to a pool.
+// done on arrival or before the request acquires a pooled machine, the
+// request returns promptly with the context's error wrapped in
+// Result.Err, leaking no pool token or admission slot. A context that
+// expires mid-run does not abort the run — runs are short and a
+// partially executed simulated machine is worthless to a pool.
 func (e *Engine) DoContext(ctx context.Context, req Request) Result {
 	em := e.em
 	if em == nil {
@@ -541,9 +530,9 @@ func (e *Engine) DoContext(ctx context.Context, req Request) Result {
 	return res
 }
 
-// do is DoContext's body: panic containment, validation, planning, then
-// dispatch — through a batching lane for sorts, the direct substrate
-// for eligible sorts when batching is off, or the unbatched pool path.
+// do is DoContext's body: panic containment, validation, planning,
+// admission, then the request's one route — the direct substrate for
+// eligible sorts, a leased machine for everything else.
 func (e *Engine) do(ctx context.Context, req Request) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -556,7 +545,7 @@ func (e *Engine) do(ctx context.Context, req Request) (res Result) {
 	}
 	if err := ctx.Err(); err != nil {
 		// Deadline-aware admission: a dead-on-arrival request never
-		// touches a queue or a machine.
+		// touches a machine or the direct substrate.
 		return Result{Err: fmt.Errorf("engine: request not admitted: %w", err)}
 	}
 	key := e.planKey(cfg)
@@ -564,37 +553,33 @@ func (e *Engine) do(ctx context.Context, req Request) (res Result) {
 	if err != nil {
 		return Result{Err: err}
 	}
-	// Sorts go through the continuous-batching lanes (whose dispatchers
-	// pick the substrate per batch); selection ops run their own
-	// internal multi-run protocols and stay on the unbatched path, and
-	// so do congestion-priced (multipath) sorts — their occupancy
-	// replay is a per-run pass that fused sessions cannot segment. A
-	// closed engine falls back to the unbatched path too.
-	if req.Op == OpSort && !e.batch.Disabled && cfg.Routing == machine.RouteSingle {
-		if res, handled := e.submit(ctx, key, cfg, entry, req); handled {
-			return res
+	if entry.inflight.Add(1) > e.admit {
+		entry.inflight.Add(-1)
+		e.rejected.Add(1)
+		if e.em != nil {
+			e.em.AdmissionRejected.Inc()
 		}
+		return Result{Err: fmt.Errorf("engine: %w (%d requests in flight on this configuration)", ErrAdmissionRejected, e.admit)}
 	}
-	// No lane took the request (batching disabled or engine closed):
-	// eligible sorts still get the direct substrate, unless this
+	defer entry.inflight.Add(-1)
+	// Eligible sorts take the direct substrate unless this
 	// configuration's pool has chaos injections armed.
 	if e.directEligible(cfg, req.Op) && !e.poolArmed(key, cfg) {
 		return e.serveDirect(key, cfg, entry, req)
 	}
-	return e.doUnbatched(ctx, key, cfg, entry, req)
+	return e.doOnMachine(ctx, key, cfg, entry, req)
 }
 
-// doUnbatched is the pool-only path: lease a machine, run the request
-// on it, release. Used by every non-sort op, by simulated sorts when
-// batching is disabled or the engine is closed, and by the dispatcher's
-// failure isolation re-runs.
-func (e *Engine) doUnbatched(ctx context.Context, key partition.PlanKey, cfg Config, entry *planEntry, req Request) Result {
+// doOnMachine is the machine route: lease a machine, run the request on
+// it, release. Used by every request the direct substrate does not
+// serve, and by recovery's degraded re-runs.
+func (e *Engine) doOnMachine(ctx context.Context, key partition.PlanKey, cfg Config, entry *planEntry, req Request) Result {
 	pl := e.poolFor(poolKey{pk: key, cost: cfg.Cost}, cfg)
 	var start time.Time
 	if e.em != nil {
 		start = time.Now()
 	}
-	l, err := pl.acquire(ctx, nil)
+	l, err := pl.acquire(ctx)
 	if err != nil {
 		if ctx.Err() != nil {
 			e.cancelled.Add(1)
@@ -628,25 +613,30 @@ func (e *Engine) runOnLease(l *lease, entry *planEntry, req Request) Result {
 	cfg := req.Config
 	m := l.m
 
-	// Keys pass through uncloned: every downstream path (FTSortOpt,
-	// selection) treats the input as read-only, cloning per-processor
+	// Keys pass through uncloned: every downstream path (SortRun,
+	// selection) treats the input as read-only, copying per-processor
 	// shares before mutating — the same contract Sorter relies on.
 	keys := req.Keys
 	switch req.Op {
 	case OpSort:
-		out, r, err := core.FTSortLayout(m, entry.layout, keys, core.Options{
+		run, err := l.sortRun(entry.layout, keys, core.Options{
 			Protocol:            cfg.Protocol,
 			AccountDistribution: cfg.AccountDistribution,
-			// Reuse the lease's PerNode buffer run over run (first run
-			// allocates it, the capture below pools it) — the aliasing
-			// rule is documented on Result.
-			PerNodeBuf: l.perNode,
-			Phases:     e.phases,
+			Phases:              e.phases,
 		})
-		if r.PerNode != nil {
-			l.perNode = r.PerNode
+		if err != nil {
+			return Result{Err: err}
 		}
-		return Result{Keys: out, Res: r, Err: err}
+		// Reuse the lease's PerNode buffer run over run (first run
+		// allocates it, the capture below pools it) — the aliasing rule
+		// is documented on Result.
+		r, err := m.RunInto(entry.layout.Working, run.Kernel(), l.perNode)
+		if err != nil {
+			l.run = nil // an aborted run's arenas are not worth vouching for
+			return Result{Err: err}
+		}
+		l.perNode = r.PerNode
+		return Result{Keys: run.Gather(), Res: r}
 	case OpKthSmallest:
 		v, r, err := selection.KthSmallestOpt(m, entry.plan, keys, req.K, selection.Options{Phases: e.phases})
 		return Result{Value: v, Res: r, Err: err}

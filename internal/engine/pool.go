@@ -4,8 +4,10 @@ import (
 	"context"
 	"sync"
 
+	"hypersort/internal/core"
 	"hypersort/internal/cube"
 	"hypersort/internal/machine"
+	"hypersort/internal/sortutil"
 )
 
 // lease is what a request borrows from a pool: a simulated machine plus
@@ -17,6 +19,27 @@ type lease struct {
 	m *machine.Machine
 	// perNode is created lazily on the first request that produces one.
 	perNode map[cube.NodeID]machine.Time
+	// run is the machine's last sort, retained so the next sort with the
+	// same layout and kernel options re-arms its arenas (SortRun.Reuse)
+	// instead of building a new one.
+	run *core.SortRun
+}
+
+// sortRun prepares a sort of keys on the lease's machine, re-arming the
+// retained run when it fits layout and opts.
+func (l *lease) sortRun(layout *core.Layout, keys []sortutil.Key, opts core.Options) (*core.SortRun, error) {
+	if l.run != nil && l.run.Fits(layout, opts) {
+		if err := l.run.Reuse(keys); err != nil {
+			return nil, err
+		}
+		return l.run, nil
+	}
+	r, err := core.NewSortRun(l.m, layout, keys, opts)
+	if err != nil {
+		return nil, err
+	}
+	l.run = r
+	return r, nil
 }
 
 // pool is a bounded pool of simulated machines for one configuration.
@@ -56,13 +79,12 @@ func newPool(max int, build func(prev *machine.Machine) (*machine.Machine, error
 }
 
 // acquire returns an idle lease, or creates one if the pool is below its
-// bound, or blocks until one is released, the context is done, or stop
-// closes. An already-idle lease is always preferred, even over an
-// expired context — the caller paid the wait either way, and handing it
-// capacity is strictly more useful. ctx must be non-nil (pass
-// context.Background() to wait unconditionally); stop may be nil. A
-// stop-triggered return reports errClosed.
-func (p *pool) acquire(ctx context.Context, stop <-chan struct{}) (*lease, error) {
+// bound, or blocks until one is released or the context is done. An
+// already-idle lease is always preferred, even over an expired context —
+// the caller paid the wait either way, and handing it capacity is
+// strictly more useful. ctx must be non-nil (pass context.Background()
+// to wait unconditionally).
+func (p *pool) acquire(ctx context.Context) (*lease, error) {
 	// Prefer reuse over growth when a machine is already idle.
 	select {
 	case l := <-p.idle:
@@ -81,8 +103,6 @@ func (p *pool) acquire(ctx context.Context, stop <-chan struct{}) (*lease, error
 		return l, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
-	case <-stop:
-		return nil, errClosed
 	}
 }
 
@@ -120,7 +140,7 @@ func (p *pool) release(l *lease) {
 // has a template); arming the template arms every clone, existing and
 // future, because Clone shares the injector.
 func (p *pool) arm(injs ...machine.Injection) error {
-	l, err := p.acquire(context.Background(), nil)
+	l, err := p.acquire(context.Background())
 	if err != nil {
 		return err
 	}
@@ -133,7 +153,7 @@ func (p *pool) arm(injs ...machine.Injection) error {
 
 // disarm clears the pool's injection schedule, fired entries included.
 func (p *pool) disarm() error {
-	l, err := p.acquire(context.Background(), nil)
+	l, err := p.acquire(context.Background())
 	if err != nil {
 		return err
 	}

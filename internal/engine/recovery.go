@@ -11,7 +11,7 @@ package engine
 // survives, and the recovered output is the full sorted input.
 //
 // Recovery composes with itself: the degraded re-run goes through
-// doUnbatched, whose own recovery hook handles a second casualty striking
+// doOnMachine, whose own recovery hook handles a second casualty striking
 // mid-recovery. Each level adds at least one fault to the configuration,
 // and validate rejects a fault set that fills the cube, so the recursion
 // is bounded by the machine size. When planning the degraded
@@ -120,12 +120,12 @@ func (e *Engine) recoverFrom(ctx context.Context, m *machine.Machine, req Reques
 	}
 
 	// Re-dispatch the original keys on the degraded configuration. The
-	// nested doUnbatched carries its own recovery hook, so a casualty
+	// nested doOnMachine carries its own recovery hook, so a casualty
 	// striking the recovery run recurses with a strictly larger fault
 	// set.
 	newReq := req
 	newReq.Config = newCfg
-	res := e.doUnbatched(ctx, newKey, newCfg, entry, newReq)
+	res := e.doOnMachine(ctx, newKey, newCfg, entry, newReq)
 	if res.Err == nil {
 		e.replans.Add(1)
 		if em := e.em; em != nil {

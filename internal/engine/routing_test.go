@@ -69,27 +69,31 @@ func TestMultipathNeverDirect(t *testing.T) {
 	}
 }
 
-// TestMultipathBypassesLanes: congestion-priced sorts cannot join fused
-// batch sessions (the occupancy replay is per run), so the dispatcher
-// must route them down the unbatched pool path — observable as zero
-// batched requests after a multipath burst.
+// TestMultipathBypassesLanes: congestion-priced sorts run one per
+// leased machine, each with its own occupancy replay, and a lease
+// re-arms its retained sort run for the next request — so a concurrent
+// burst of identical multipath sorts must come back sorted and priced
+// identically.
 func TestMultipathBypassesLanes(t *testing.T) {
 	e := New(2, 4)
 	defer e.Close()
 	cfg := Config{Dim: 3, Routing: machine.RouteMultipath}
+	keys := workload.MustGenerate(workload.Uniform, 600, xrand.New(1))
 	reqs := make([]Request, 6)
 	for i := range reqs {
-		reqs[i] = Request{
-			Config: cfg, Op: OpSort,
-			Keys: workload.MustGenerate(workload.Uniform, 600, xrand.New(uint64(i+1))),
-		}
+		reqs[i] = Request{Config: cfg, Op: OpSort, Keys: keys}
 	}
-	for _, res := range e.Batch(reqs) {
+	results := e.Batch(reqs)
+	for i, res := range results {
 		if res.Err != nil {
 			t.Fatal(res.Err)
 		}
-	}
-	if m := e.Metrics(); m.FusedBatches != 0 || m.FusedRequests != 0 {
-		t.Errorf("multipath requests joined a fused batch: %+v", m)
+		if !keysEqual(res.Keys, sortedRef(keys)) {
+			t.Fatalf("request %d diverges from reference", i)
+		}
+		if g, w := res.Res, results[0].Res; g.Makespan != w.Makespan || g.LinkWait != w.LinkWait ||
+			g.StripedSends != w.StripedSends || g.MaxLinkOccupancy != w.MaxLinkOccupancy {
+			t.Errorf("request %d priced differently:\n%+v\n%+v", i, g, w)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"strings"
 	"testing"
 
 	"hypersort/internal/cube"
@@ -179,21 +178,6 @@ func TestCongestionConfigValidation(t *testing.T) {
 	}
 	if RouteSingle.String() != "ecube" || RouteMultipath.String() != "multipath" {
 		t.Errorf("policy names: %q, %q", RouteSingle, RouteMultipath)
-	}
-}
-
-// TestSessionRejectsCongestion: fused batch sessions interleave sub-run
-// send logs, which the per-run occupancy replay cannot segment — the
-// machine must refuse to open one rather than mis-price.
-func TestSessionRejectsCongestion(t *testing.T) {
-	m := MustNew(Config{Dim: 3, Routing: RouteMultipath})
-	if _, err := m.OpenSession(allNodes(3)); err == nil ||
-		!strings.Contains(err.Error(), "congestion") {
-		t.Errorf("OpenSession on congestion-priced machine: %v", err)
-	}
-	hot := MustNew(Config{Dim: 3, HotLinks: map[cube.Edge]Time{cube.NewEdge(0, 1): 5}})
-	if _, err := hot.OpenSession(allNodes(3)); err == nil {
-		t.Error("OpenSession accepted hot-link machine")
 	}
 }
 

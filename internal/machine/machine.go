@@ -171,11 +171,6 @@ type Machine struct {
 	inGroup []bool // current run's participant set, indexed by address
 	bar     runBarrier
 	barFlat bool // which implementation bar is, so knob flips rebuild it
-	// sess is the machine's cached session scratch: a machine has at
-	// most one session open, so OpenSession hands out this one struct
-	// (with its retained stats/separator buffers) instead of allocating
-	// per fused batch.
-	sess Session
 }
 
 // node is the per-processor state. Each node's clock and counters are
@@ -491,7 +486,7 @@ func (m *Machine) RunInto(participants []cube.NodeID, kernel Kernel, perNode map
 // node of the cube, no duplicates — and marks it in m.inGroup (which
 // doubles as Proc.InGroup's membership set). On error nothing stays
 // marked; on success the caller owns the marks and must clear them with
-// unmarkParticipants when the run or session ends.
+// unmarkParticipants when the run ends.
 func (m *Machine) markParticipants(participants []cube.NodeID) error {
 	if m.inGroup == nil {
 		m.inGroup = make([]bool, m.h.Size())

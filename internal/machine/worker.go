@@ -9,12 +9,9 @@ import (
 
 // runTask is the descriptor Run hands a node's persistent worker: the
 // kernel to execute and the prepared Proc for this run. The worker
-// executes exactly one task per Run. A fused task (Session.RunBatch) sets
-// fused instead of kernel: the worker then executes the whole kernel
-// sequence before signalling done, resetting its node between sub-runs.
+// executes exactly one task per Run.
 type runTask struct {
 	kernel Kernel
-	fused  *fusedState
 	proc   *Proc
 	slot   int
 	rs     *runState
@@ -86,83 +83,12 @@ func workerLoop(work <-chan runTask, stop <-chan struct{}) {
 	}
 }
 
-// runTaskBody executes one task — a single kernel or a fused sequence —
-// reporting any failure into the shared run state. Factored out so the
-// persistent worker loop and the one-shot path stay byte-identical in
-// behaviour.
+// runTaskBody executes one task, reporting any failure into the shared
+// run state. Factored out so the persistent worker loop and the one-shot
+// path stay byte-identical in behaviour.
 func runTaskBody(t runTask) {
-	if t.fused != nil {
-		runFusedNode(t)
-		return
-	}
 	if err := t.proc.runKernel(t.kernel); err != nil {
 		t.rs.fail(t.slot, err)
-	}
-}
-
-// runFusedNode executes this node's side of a fused batch: the K kernels
-// back-to-back, separated by separator rounds so no node starts sub-run
-// k+1 before every node has finished k. Between sub-runs the worker
-// resets its own node's clock and counters (each sub-run is an
-// independent virtual-time experiment) and harvests the finished
-// sub-run's statistics into the batch's flat stats array — its own slot
-// only, so no synchronization beyond the separator is needed.
-//
-// The separator carries no virtual time: it synchronizes the host
-// goroutines, not the virtual clocks, which restart at zero each
-// sub-run.
-//
-// Failure discipline: a worker exiting early — its own kernel failed, or
-// it observed the run abort after a separator — arrives at every
-// separator it has not yet passed, so surviving peers never block on it. Peers
-// that pass such a separator start the next sub-run against aborted
-// mailboxes, take the same exit, and cascade their own Done()s. Because
-// a separator admits no one into sub-run k+1 before every worker
-// harvested k, the first failure (in real time) at sub-run k0 implies
-// sub-runs [0,k0) are fully harvested on every node, and the
-// first-failure CAS below records that minimal index: any later
-// independent failure necessarily carries an index >= k0 and loses the
-// CAS.
-func runFusedNode(t runTask) {
-	fs := t.fused
-	nd := t.proc.nd
-	for k := range fs.kernels {
-		if k > 0 {
-			nd.clock = 0
-			nd.msgsSent, nd.keysSent, nd.keyHops, nd.compares, nd.recvWaits = 0, 0, 0, 0, 0
-			nd.barrierWait = 0
-		}
-		if err := t.proc.runKernel(fs.kernels[k]); err != nil {
-			fs.failed.CompareAndSwap(-1, int32(k))
-			t.rs.fail(t.slot, err)
-			for j := k; j < len(fs.seps); j++ {
-				fs.seps[j].arrive()
-			}
-			return
-		}
-		fs.stats[k*fs.n+t.slot] = fusedNodeStats{
-			clock:   nd.clock,
-			msgs:    nd.msgsSent,
-			keys:    nd.keysSent,
-			hops:    nd.keyHops,
-			comps:   nd.compares,
-			waits:   nd.recvWaits,
-			barrier: nd.barrierWait,
-		}
-		if k == len(fs.kernels)-1 {
-			return // last sub-run: the run's WaitGroup is the final sync
-		}
-		fs.seps[k].arrive()
-		fs.seps[k].pass(fs.n)
-		if t.rs.aborting.Load() {
-			// A peer failed; the next sub-run would only burn cycles
-			// against aborted mailboxes. Exit, releasing the remaining
-			// separators.
-			for j := k + 1; j < len(fs.seps); j++ {
-				fs.seps[j].arrive()
-			}
-			return
-		}
 	}
 }
 

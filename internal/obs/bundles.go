@@ -228,29 +228,17 @@ type EngineMetrics struct {
 	// PoolInUse gauges machines currently leased to in-flight requests.
 	PoolInUse *Gauge
 
-	// Continuous-batching dispatcher instruments.
+	// Admission instruments.
 
-	// FusedBatches counts fused dispatches (one machine lease each);
-	// FusedRequests counts the requests they carried. The ratio is the
-	// mean coalescing factor — FusedRequests > FusedBatches means the
-	// dispatcher actually amortized lease/handoff cost.
-	FusedBatches  *Counter
-	FusedRequests *Counter
-	// AdmissionRejected counts requests refused because their lane's
-	// bounded admission queue was full (the caller saw
+	// AdmissionRejected counts requests refused because their
+	// configuration was at the admission bound (the caller saw
 	// ErrAdmissionRejected); Cancelled counts requests whose context was
-	// cancelled while they waited in a queue.
+	// cancelled while they waited for a machine.
 	AdmissionRejected *Counter
 	Cancelled         *Counter
-	// QueueDepth gauges requests currently waiting in dispatch lanes
-	// (admitted but not yet claimed by a fused batch).
-	QueueDepth *Gauge
 	// QueueWait is the distribution of nanoseconds a request spent
-	// waiting for execution capacity: lane-queue wait for batched
-	// requests, machine-pool acquire wait for direct-path requests.
+	// waiting for a machine (see QueueWaitHistogram).
 	QueueWait *Histogram
-	// BatchSize is the distribution of requests per fused dispatch.
-	BatchSize *Histogram
 
 	// Live-fault recovery instruments (the replanning path that survives
 	// mid-run injected casualties).
@@ -259,10 +247,6 @@ type EngineMetrics struct {
 	// fault, diagnosis converged, a new plan was found, and the request
 	// completed on the degraded configuration.
 	Replans *Counter
-	// AbortedSubRuns counts fused sub-runs cut short when a session
-	// abort cascade fired mid-batch (the culprit plus every sub-run
-	// never attempted).
-	AbortedSubRuns *Counter
 	// KeysRedistributed counts keys re-spread over the surviving
 	// processors by successful replans.
 	KeysRedistributed *Counter
@@ -279,10 +263,8 @@ type EngineMetrics struct {
 	// simulator stays the oracle).
 
 	// DirectRequests counts requests served by the direct substrate (no
-	// machine lease, predicted Result); DirectBatches counts dispatcher
-	// batches executed directly.
+	// machine lease, predicted Result).
 	DirectRequests *Counter
-	DirectBatches  *Counter
 	// OracleRuns counts sampled direct results re-executed on the
 	// simulator for cross-checking; DirectParityBreaks counts oracle runs
 	// whose sorted output differed from the direct output — any nonzero
@@ -293,6 +275,15 @@ type EngineMetrics struct {
 	// makespan error over oracle runs, in permille of the simulated
 	// makespan.
 	DirectCostError *Histogram
+}
+
+// QueueWaitHistogram registers (idempotently) and returns the engine's
+// machine-pool acquire wait histogram in r. It is the Retry-After
+// signal, so the HTTP layer and the shard server read it without
+// registering the rest of the engine bundle.
+func QueueWaitHistogram(r *Registry) *Histogram {
+	return r.Histogram("hypersort_engine_queue_wait_ns",
+		"Nanoseconds a request waited for a machine-pool acquire.")
 }
 
 // NewEngineMetrics registers the engine bundle in r. Idempotent.
@@ -314,24 +305,13 @@ func NewEngineMetrics(r *Registry) *EngineMetrics {
 			"Wall-clock request latency in nanoseconds, including machine-pool queueing."),
 		PoolInUse: r.Gauge("hypersort_engine_pool_in_use",
 			"Simulated machines currently leased to in-flight requests."),
-		FusedBatches: r.Counter("hypersort_engine_fused_batches_total",
-			"Fused dispatches executed by the continuous-batching dispatcher (one machine lease each)."),
-		FusedRequests: r.Counter("hypersort_engine_fused_requests_total",
-			"Requests executed inside fused dispatches (ratio to fused batches = mean coalescing factor)."),
 		AdmissionRejected: r.Counter("hypersort_engine_admission_rejected_total",
-			"Requests refused because a dispatch lane's bounded admission queue was full."),
+			"Requests refused because their configuration was at the admission bound of in-flight requests."),
 		Cancelled: r.Counter("hypersort_engine_cancelled_total",
-			"Requests whose context was cancelled while waiting in a queue."),
-		QueueDepth: r.Gauge("hypersort_engine_queue_depth",
-			"Requests currently waiting in dispatch lanes (admitted, not yet claimed by a batch)."),
-		QueueWait: r.Histogram("hypersort_engine_queue_wait_ns",
-			"Nanoseconds a request waited for execution capacity (lane queue or machine-pool acquire)."),
-		BatchSize: r.Histogram("hypersort_engine_batch_size",
-			"Requests per fused dispatch."),
+			"Requests whose context was cancelled while waiting for a machine."),
+		QueueWait: QueueWaitHistogram(r),
 		Replans: r.Counter("hypersort_engine_replans_total",
 			"Successful hot replans after a mid-run injected casualty (diagnosis converged, new plan found, request completed)."),
-		AbortedSubRuns: r.Counter("hypersort_engine_aborted_sub_runs_total",
-			"Fused sub-runs cut short by a session abort cascade (culprit plus never-attempted remainder)."),
 		KeysRedistributed: r.Counter("hypersort_engine_keys_redistributed_total",
 			"Keys re-spread over surviving processors by successful replans."),
 		Unrecoverable: r.Counter("hypersort_engine_unrecoverable_total",
@@ -340,8 +320,6 @@ func NewEngineMetrics(r *Registry) *EngineMetrics {
 			"Wall-clock nanoseconds from fatal injected casualty to recovered request completion."),
 		DirectRequests: r.Counter("hypersort_engine_direct_requests_total",
 			"Requests served by the direct host-speed substrate (no machine lease, predicted Result)."),
-		DirectBatches: r.Counter("hypersort_engine_direct_batches_total",
-			"Dispatcher batches executed on the direct substrate."),
 		OracleRuns: r.Counter("hypersort_engine_oracle_runs_total",
 			"Sampled direct results re-executed on the simulator oracle for cross-checking."),
 		DirectParityBreaks: r.Counter("hypersort_engine_direct_parity_breaks_total",

@@ -34,13 +34,6 @@ type Backend interface {
 	Metrics() engine.Metrics
 }
 
-// directBackend is the optional inline fast path: *engine.Engine serves
-// direct-eligible sorts on the caller's goroutine, skipping the lane
-// handoff exactly as the in-process cluster router does.
-type directBackend interface {
-	DoDirect(req engine.Request) (engine.Result, bool)
-}
-
 // ServerOptions configures a shard server.
 type ServerOptions struct {
 	// QueueWait, when set, is the engine's queue-wait histogram; its
@@ -55,7 +48,6 @@ type ServerOptions struct {
 // Server serves the wire protocol for one backend.
 type Server struct {
 	backend Backend
-	direct  directBackend // nil when the backend has no inline path
 	opts    ServerOptions
 
 	inflight atomic.Int64
@@ -79,7 +71,6 @@ func NewServer(backend Backend, opts ServerOptions) *Server {
 		conns:   make(map[*serverConn]struct{}),
 		done:    make(chan struct{}),
 	}
-	s.direct, _ = backend.(directBackend)
 	return s
 }
 
@@ -261,14 +252,7 @@ func (c *serverConn) handleRequest(f *Frame) {
 		ctx, cancel = context.WithDeadline(ctx, time.Unix(0, f.Deadline))
 		defer cancel()
 	}
-	var res engine.Result
-	var ok bool
-	if c.srv.direct != nil {
-		res, ok = c.srv.direct.DoDirect(f.Req)
-	}
-	if !ok {
-		res = c.srv.backend.DoContext(ctx, f.Req)
-	}
+	res := c.srv.backend.DoContext(ctx, f.Req)
 	c.send(func(dst []byte) []byte {
 		return AppendResult(dst, f.Corr, res, c.srv.feedback())
 	})

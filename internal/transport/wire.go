@@ -54,7 +54,7 @@ import (
 
 // Version is the protocol version this package speaks. A frame with any
 // other leading byte is rejected before its payload is touched.
-const Version = 1
+const Version = 2
 
 // MaxFrame bounds one frame's body length: large enough for tens of
 // millions of keys, small enough that a corrupt or hostile length
@@ -333,7 +333,7 @@ func AppendMetricsReq(dst []byte, corr uint64) []byte {
 	return endFrame(dst, start)
 }
 
-// AppendMetricsAck appends a metrics snapshot: the engine's 15 lifetime
+// AppendMetricsAck appends a metrics snapshot: the engine's 14 lifetime
 // counters as uvarints, then feedback.
 func AppendMetricsAck(dst []byte, corr uint64, m engine.Metrics, fb Feedback) []byte {
 	start := len(dst)
@@ -347,11 +347,11 @@ func AppendMetricsAck(dst []byte, corr uint64, m engine.Metrics, fb Feedback) []
 
 // metricsFields fixes the wire order of the engine counter set: append
 // new counters at the END or bump Version.
-func metricsFields(m *engine.Metrics) [15]*int64 {
-	return [15]*int64{
+func metricsFields(m *engine.Metrics) [14]*int64 {
+	return [14]*int64{
 		&m.Requests, &m.PlanHits, &m.PlanMisses, &m.MachinesBuilt, &m.MachinesCloned,
 		&m.FusedBatches, &m.FusedRequests, &m.AdmissionRejected, &m.Cancelled,
-		&m.Replans, &m.Unrecoverable, &m.DirectRequests, &m.DirectBatches,
+		&m.Replans, &m.Unrecoverable, &m.DirectRequests,
 		&m.OracleRuns, &m.ParityBreaks,
 	}
 }

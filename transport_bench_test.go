@@ -110,7 +110,7 @@ func newRemoteBenchCluster(b *testing.B, shards int) (*cluster.Cluster, func()) 
 	servers := make([]*transport.Server, shards)
 	backends := make([]cluster.Backend, shards)
 	for i := range backends {
-		e := engine.NewOpts(1, throughputClients, engine.BatchOptions{MaxBatch: 32, MaxLinger: 100 * time.Microsecond})
+		e := engine.New(1, throughputClients)
 		e.SetMode(engine.ModeDirect)
 		e.Instrument(obs.NewRegistry())
 		engines[i] = e
