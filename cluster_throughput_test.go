@@ -1,9 +1,10 @@
-// The sharded-cluster throughput rig: the same 64-client storm as the
-// engine rig, served by N engine shards behind the consistent-hash
-// router instead of one engine. The single-engine baseline serializes
-// every request through one plan-key mutex; the cluster splits that
-// serialization N ways. Both serve direct-eligible sorts inline on the
-// client goroutine. E23 and E26 record the tables.
+// The router throughput rig: the same 64-client storm as the engine
+// rig, served by N in-process engine shards behind the consistent-hash
+// router instead of one engine. It prices the router's own work — the
+// ring lookup, spill and shed accounting — against a single engine; the
+// remote cluster runs the same router over shard processes. Both serve
+// direct-eligible sorts inline on the client goroutine. E23, E26 and
+// E27 record the tables; E27 is why serve has no in-process sharding.
 package hypersort
 
 import (
@@ -103,19 +104,20 @@ func newBenchEngine() *engine.Engine {
 	return e
 }
 
-// BenchmarkClusterThroughput compares the sharded cluster against the
-// single-engine dispatcher on both storm shapes:
+// BenchmarkClusterThroughput compares the router over four in-process
+// shards against the single engine on both storm shapes:
 //
 //   - hot: all 64 clients on ONE damaged-Q_2 configuration — the
 //     consistent hash pins it to one home shard, so this measures the
 //     inline direct path and replica spill, not shard spread.
 //   - mix: clients cycling the four-rung degradation ladder — different
-//     plan keys land on different shards, so the per-engine mutexes stop
-//     being a global serialization point.
+//     plan keys land on different shards.
 //
-// Reproduce the E23 tables with:
+// The router variant is named "cluster" with no shard count, so its rows
+// keep one name at every GOMAXPROCS (a trailing -N would be read as the
+// GOMAXPROCS suffix). Reproduce the E27 table with:
 //
-//	GOMAXPROCS=4 go test -run '^$' -bench BenchmarkClusterThroughput -benchtime 1000x .
+//	GOMAXPROCS=2 go test -run '^$' -bench BenchmarkClusterThroughput -benchtime 1000x .
 func BenchmarkClusterThroughput(b *testing.B) {
 	hot := []engine.Config{{Dim: 2, Faults: []cube.NodeID{3}}}
 	mix := throughputConfigs()
@@ -133,7 +135,7 @@ func BenchmarkClusterThroughput(b *testing.B) {
 			defer e.Close()
 			runClusterThroughput(b, e, sc.configs, sc.pick, func() int64 { return 0 })
 		})
-		b.Run(sc.name+"/cluster-4", func(b *testing.B) {
+		b.Run(sc.name+"/cluster", func(b *testing.B) {
 			c := newBenchCluster(4)
 			defer c.Close()
 			runClusterThroughput(b, c, sc.configs, sc.pick, func() int64 { return c.Metrics().Sheds })
@@ -141,19 +143,19 @@ func BenchmarkClusterThroughput(b *testing.B) {
 	}
 }
 
-// TestClusterThroughputSmoke is the CI-sized cluster storm, driven
-// through the public facade: a concurrent burst over the degradation
-// ladder must come back correctly sorted from a sharded cluster, with
-// every request accounted for and none shed. Run in the CI
-// throughput-smoke leg at GOMAXPROCS=1 and 4.
+// TestClusterThroughputSmoke is the CI-sized router storm: a concurrent
+// burst over the degradation ladder must come back correctly sorted from
+// four in-process shards behind the router, with every request
+// accounted for and none shed. Run in the CI throughput-smoke leg at
+// GOMAXPROCS=1 and 4.
 func TestClusterThroughputSmoke(t *testing.T) {
-	cl := NewCluster(ClusterConfig{Shards: 4, Replicas: 1, PoolSize: 1, BatchWorkers: 32, Mode: ModeDirect})
+	cl := cluster.New(cluster.Options{Shards: 4, Replicas: 1, PoolSize: 1, Workers: 32, Mode: engine.ModeDirect})
 	defer cl.Close()
-	ladder := []Config{
+	ladder := []engine.Config{
 		{Dim: 2},
-		{Dim: 2, Faults: []NodeID{3}},
-		{Dim: 2, Faults: []NodeID{2, 3}},
-		{Dim: 1, Faults: []NodeID{1}},
+		{Dim: 2, Faults: []cube.NodeID{3}},
+		{Dim: 2, Faults: []cube.NodeID{2, 3}},
+		{Dim: 1, Faults: []cube.NodeID{1}},
 	}
 	rng := xrand.New(13)
 	const burst = 64
@@ -161,14 +163,13 @@ func TestClusterThroughputSmoke(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = workload.MustGenerate(workload.Uniform, 64, rng)
 	}
-	results := make([]Result, burst)
+	results := make([]engine.Result, burst)
 	var wg sync.WaitGroup
 	for i := 0; i < burst; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			keys, _, err := cl.Sort(ladder[i%len(ladder)], inputs[i])
-			results[i] = Result{Keys: keys, Err: err}
+			results[i] = cl.Do(engine.Request{Config: ladder[i%len(ladder)], Op: engine.OpSort, Keys: inputs[i]})
 		}(i)
 	}
 	wg.Wait()

@@ -214,9 +214,11 @@ func readDoc(path string) (Doc, error) {
 }
 
 // compare prints a per-benchmark table and returns false if any current
-// metric exceeds baseline*(1+tolerance). Benchmarks present on only one
-// side are reported but never fail the gate (renames shouldn't break CI;
-// the baseline refresh catches them).
+// metric exceeds baseline*(1+tolerance) or any baseline row was not
+// measured: a row that silently stops matching (a renamed benchmark, a
+// name that parses differently on another host) would otherwise leave
+// its gate unchecked. A measured row with no baseline is reported but
+// passes, so adding a benchmark needs no baseline refresh.
 func compare(base, cur Doc, allocTol, bytesTol, timeTol float64) bool {
 	baseBy := make(map[string]Result, len(base.Results))
 	for _, r := range base.Results {
@@ -251,11 +253,17 @@ func compare(base, cur Doc, allocTol, bytesTol, timeTol float64) bool {
 			fmt.Printf("  ns/op regressed beyond %.0f%% tolerance\n", timeTol*100)
 		}
 	}
+	missing := make([]string, 0, len(baseBy))
 	for name := range baseBy {
-		fmt.Printf("%-48s (in baseline but not measured)\n", name)
+		missing = append(missing, name)
+	}
+	sort.Strings(missing)
+	for _, name := range missing {
+		fmt.Printf("%-48s MISSING — in baseline but not measured\n", name)
+		ok = false
 	}
 	if !ok {
-		fmt.Println("benchjson: FAIL — regression against baseline")
+		fmt.Println("benchjson: FAIL — regression against baseline, or a baseline row not measured")
 	} else {
 		fmt.Println("benchjson: PASS — within baseline tolerances")
 	}

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -12,7 +14,9 @@ import (
 	"time"
 
 	"hypersort"
+	"hypersort/internal/engine"
 	"hypersort/internal/obs"
+	"hypersort/internal/transport"
 )
 
 // TestRetryAfterSeconds pins the 503 backoff-hint derivation: ceiling
@@ -40,7 +44,7 @@ func TestRetryAfterSeconds(t *testing.T) {
 			for _, v := range c.observe {
 				h.Observe(v)
 			}
-			if got := retryAfterSeconds(h, nil); got != c.want {
+			if got := retryAfterSeconds(h, &hintingBackend{}); got != c.want {
 				t.Fatalf("retryAfterSeconds = %d, want %d", got, c.want)
 			}
 		})
@@ -109,29 +113,43 @@ func TestServeRetryAfterOnBackpressure(t *testing.T) {
 }
 
 // newClusterTestServer stands up the production handler set over a
-// sharded cluster backend.
-func newClusterTestServer(t *testing.T, chaos bool) (*httptest.Server, *hypersort.Cluster) {
+// proxy facade (NewRemoteCluster) in front of three shard servers on
+// loopback — the -cluster-mode=proxy deployment, with each shard
+// process played by an engine behind a transport.Server.
+func newClusterTestServer(t *testing.T, chaos bool) (*httptest.Server, *hypersort.Engine) {
 	t.Helper()
-	cl := hypersort.NewCluster(hypersort.ClusterConfig{
-		Shards:       3,
-		Replicas:     1,
-		PoolSize:     1,
-		BatchWorkers: 2,
-	})
-	srv := httptest.NewServer(newMux(cl, nil, chaos, hypersort.RouteECube))
+	addrs := make([]string, 3)
+	for i := range addrs {
+		eng := engine.New(1, 2)
+		shard := transport.NewServer(eng, transport.ServerOptions{DrainTimeout: 100 * time.Millisecond})
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go shard.Serve(lis)
+		t.Cleanup(func() {
+			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+			defer cancel()
+			shard.Shutdown(ctx)
+			eng.Close()
+		})
+		addrs[i] = lis.Addr().String()
+	}
+	proxy := hypersort.NewRemoteCluster(hypersort.ClusterConfig{Replicas: 1, BatchWorkers: 2}, addrs)
+	srv := httptest.NewServer(newMux(proxy, nil, chaos, hypersort.RouteECube))
 	t.Cleanup(func() {
 		srv.Close()
-		cl.Close()
+		proxy.Close()
 	})
-	return srv, cl
+	return srv, proxy
 }
 
 // TestServeClusterBackend checks the handler set is topology-blind: a
-// cluster behind the same mux serves sorts correctly and /v1/metrics
+// proxy behind the same mux serves sorts correctly and /v1/metrics
 // reports both the shard-summed engine view (under the key dashboards
 // already read) and the router's cluster section.
 func TestServeClusterBackend(t *testing.T) {
-	srv, cl := newClusterTestServer(t, false)
+	srv, proxy := newClusterTestServer(t, false)
 	resp, err := http.Post(srv.URL+"/v1/sort", "application/json", strings.NewReader(sortBody(4, []int64{3}, 128)))
 	if err != nil {
 		t.Fatal(err)
@@ -149,8 +167,8 @@ func TestServeClusterBackend(t *testing.T) {
 			t.Fatalf("output not sorted at %d", i)
 		}
 	}
-	if m := cl.Metrics(); m.Requests != 1 {
-		t.Fatalf("cluster served %d requests, want 1", m.Requests)
+	if m, ok := proxy.ClusterMetrics(); !ok || m.Requests != 1 {
+		t.Fatalf("router served %d requests (ok=%v), want 1", m.Requests, ok)
 	}
 
 	mresp, err := http.Get(srv.URL + "/v1/metrics")
@@ -159,7 +177,9 @@ func TestServeClusterBackend(t *testing.T) {
 	}
 	defer mresp.Body.Close()
 	var payload struct {
-		Engine  *json.RawMessage `json:"engine"`
+		Engine *struct {
+			Requests int64 `json:"Requests"`
+		} `json:"engine"`
 		Cluster *struct {
 			Requests int64 `json:"Requests"`
 			Shards   []any `json:"Shards"`
@@ -169,10 +189,13 @@ func TestServeClusterBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	if payload.Engine == nil {
-		t.Fatal("/v1/metrics lost the engine section on a cluster backend")
+		t.Fatal("/v1/metrics lost the engine section on a proxy backend")
+	}
+	if payload.Engine.Requests != 1 {
+		t.Fatalf("engine section reports %d requests summed over the shards, want 1", payload.Engine.Requests)
 	}
 	if payload.Cluster == nil {
-		t.Fatal("/v1/metrics missing the cluster section on a cluster backend")
+		t.Fatal("/v1/metrics missing the cluster section on a proxy backend")
 	}
 	if payload.Cluster.Requests != 1 {
 		t.Fatalf("cluster section reports %d requests, want 1", payload.Cluster.Requests)
@@ -182,12 +205,12 @@ func TestServeClusterBackend(t *testing.T) {
 	}
 }
 
-// TestServeClusterChaosAllShards checks `serve -chaos` against a
-// sharded backend: inject arms every shard (the router may serve the
+// TestServeClusterChaosAllShards checks `serve -chaos` against a proxy:
+// inject arms every shard over the wire (the router may serve the
 // configuration from home or any replica), a struck sort still answers
 // 200 with sorted keys, and disarm stands the whole fleet down.
 func TestServeClusterChaosAllShards(t *testing.T) {
-	srv, cl := newClusterTestServer(t, true)
+	srv, proxy := newClusterTestServer(t, true)
 	body := sortBody(4, nil, 300)
 
 	// Healthy run to size the kill time.
@@ -235,8 +258,8 @@ func TestServeClusterChaosAllShards(t *testing.T) {
 			t.Fatalf("recovered output not sorted at %d", i)
 		}
 	}
-	if m := cl.Metrics(); m.Engine.Replans < 1 {
-		t.Fatalf("cluster replans = %d, want >= 1", m.Engine.Replans)
+	if m := proxy.Metrics(); m.Replans < 1 {
+		t.Fatalf("shard replans = %d, want >= 1", m.Replans)
 	}
 
 	dresp, err := http.Post(srv.URL+"/v1/chaos/disarm", "application/json", strings.NewReader(`{"dim":4}`))

@@ -16,17 +16,19 @@ import (
 	"hypersort/internal/trace"
 )
 
-// backend is what the handlers need from the serving layer — satisfied
-// by both *hypersort.Engine (the classic single-engine service) and
-// *hypersort.Cluster (the sharded router behind -shards), so the whole
-// handler set is topology-blind. InjectFault and DisarmFaults address
-// every shard on a cluster backend, which is exactly what a drill
-// wants: the router may serve a configuration from its home shard or
-// any replica.
+// backend is what the handlers need from the serving layer. A
+// *hypersort.Engine satisfies it whether it holds one engine or fronts
+// the shard processes (-cluster-mode=proxy), so the handler set is
+// topology-blind. On a proxy InjectFault and DisarmFaults address every
+// shard, which is exactly what a drill wants: the router may serve a
+// configuration from its home shard or any replica.
 type backend interface {
 	SortBatchContext(ctx context.Context, reqs []hypersort.Request) []hypersort.Result
 	InjectFault(cfg hypersort.Config, injs ...hypersort.Injection) error
 	DisarmFaults(cfg hypersort.Config) error
+	Metrics() hypersort.EngineMetrics
+	ClusterMetrics() (hypersort.ClusterMetrics, bool)
+	QueueWaitHint() int64
 }
 
 // newMux assembles the service's routes. Factored out of main so the
@@ -39,8 +41,8 @@ type backend interface {
 // not name a "routing" policy themselves inherit it.
 func newMux(eng backend, ring *trace.Ring, chaos bool, routing hypersort.RoutingPolicy) *http.ServeMux {
 	// The queue-wait histogram feeds Retry-After on 503s. Registration
-	// is idempotent, so this is the same instrument every Engine and
-	// Cluster observes into.
+	// is idempotent, so this is the same instrument every Engine
+	// observes into.
 	queueWait := obs.QueueWaitHistogram(obs.Default())
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -60,19 +62,15 @@ func newMux(eng backend, ring *trace.Ring, chaos bool, routing hypersort.Routing
 		if !requireGet(w, r) {
 			return
 		}
+		// A proxy reports the shard-summed engine view under the same
+		// key dashboards already read, plus the router totals and the
+		// per-shard split.
 		payload := map[string]any{
 			"memory":   readMemMetrics(),
 			"registry": obs.Default().Snapshot(),
+			"engine":   eng.Metrics(),
 		}
-		switch be := eng.(type) {
-		case *hypersort.Engine:
-			payload["engine"] = be.Metrics()
-		case *hypersort.Cluster:
-			// Clusters report the shard-summed engine view under the same
-			// key dashboards already read, plus the router totals and the
-			// per-shard split.
-			cm := be.Metrics()
-			payload["engine"] = cm.Engine
+		if cm, ok := eng.ClusterMetrics(); ok {
 			payload["cluster"] = cm
 		}
 		writeJSON(w, http.StatusOK, payload)
@@ -193,29 +191,17 @@ func newMux(eng backend, ring *trace.Ring, chaos bool, routing hypersort.Routing
 	return mux
 }
 
-// queueWaitHinter is implemented by backends that learn queue wait from
-// somewhere other than the local histogram — the multi-process proxy's
-// cluster, whose shards report their own medians on every response. The
-// local histogram alone would be blind there: the proxy never runs an
-// engine, so its local p50 stays zero no matter how backed up the
-// shards are.
-type queueWaitHinter interface{ QueueWaitHint() int64 }
-
 // retryAfterSeconds derives the Retry-After hint for a 503 from the
 // observed p50 queue wait: if the median admitted request waits that
 // long for capacity, a shed request retrying sooner would likely just
 // be shed again. The observation is the worse of the local histogram's
-// p50 and — when the backend reports one — the remote shards' own
-// medians. Ceiling to whole seconds with a floor of 1 — the header's
+// p50 and the backend's QueueWaitHint — the shard processes' own
+// medians on a proxy, whose local histogram stays empty because it runs
+// no engine. Ceiling to whole seconds with a floor of 1 — the header's
 // unit is seconds and "0" would invite an immediate hot retry loop, the
 // opposite of backpressure.
 func retryAfterSeconds(queueWait *obs.Histogram, be backend) int {
-	p50 := queueWait.Quantile(0.5)
-	if h, ok := be.(queueWaitHinter); ok {
-		if w := h.QueueWaitHint(); w > p50 {
-			p50 = w
-		}
-	}
+	p50 := max(queueWait.Quantile(0.5), be.QueueWaitHint())
 	secs := (p50 + int64(time.Second) - 1) / int64(time.Second)
 	if secs < 1 {
 		secs = 1

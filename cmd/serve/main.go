@@ -8,9 +8,9 @@
 //	serve -addr :8080 [-pool 4] [-workers 8] [-trace-buf 65536] [-trace-sample 1]
 //	serve [-mode auto|direct|sim] [-oracle-sample 0] [-routing ecube|multipath]
 //	serve [-admission-queue 256]
-//	serve [-shards 4] [-replicas 1] [-spill-high-water 16] [-shed-limit 256]
 //	serve -cluster-mode=shard -addr :9101
 //	serve -cluster-mode=proxy -shard-addrs host1:9101,host2:9101,host3:9101
+//	      [-replicas 1] [-spill-high-water 16] [-shed-limit 256]
 //	serve -demo [-requests 256] [-m 4000] [-seed 1]
 //
 // Each request takes one route: an eligible sort runs on the direct
@@ -20,25 +20,21 @@
 // client error; the Retry-After value is the ceiling of the observed
 // median machine-pool wait (minimum 1s).
 //
-// -shards N runs N independent engine shards behind a consistent-hash
-// router instead of one engine: same-configuration traffic keeps landing
-// on its home shard, hot configurations spill to -replicas replica
-// shards past -spill-high-water in-flight requests, and when home plus
-// replicas all reach -shed-limit the router sheds with the same 503
-// contract before the request touches any queue (see DESIGN.md §11).
-//
-// -cluster-mode splits the -shards topology across PROCESSES (see
-// DESIGN.md §13). "shard" serves one engine over the pipelined binary
-// wire protocol instead of HTTP — start N of them, one per core or
-// host. "proxy" serves the normal HTTP API but routes every request to
-// the shard processes named by -shard-addrs on the same consistent-hash
-// ring the in-process cluster uses, spilling and shedding against the
-// live in-flight gauges each shard feeds back on every response. A dead
-// shard is detected by transport error, routed around via ring
-// successors (zero failed requests for in-flight storms), and reprobed
-// until it returns. The engine-tuning flags (-pool, -admission-queue,
-// ...) apply where the engines live: pass them to the shard processes,
-// not the proxy.
+// -cluster-mode splits serving across PROCESSES (see DESIGN.md §11 and
+// §13). "shard" serves one engine over the pipelined binary wire
+// protocol instead of HTTP — start N of them, one per core or host.
+// "proxy" serves the normal HTTP API but routes every request to the
+// shard processes named by -shard-addrs on a consistent-hash ring: each
+// configuration keeps landing on its home shard, hot configurations
+// spill to -replicas replica shards past -spill-high-water in-flight
+// requests, and when home plus replicas all reach -shed-limit the proxy
+// sheds with the same 503 contract before the request reaches any
+// shard. Spill and shed read the live in-flight gauges each shard feeds
+// back on every response. A dead shard is detected by transport error,
+// routed around via ring successors (zero failed requests for in-flight
+// storms), and reprobed until it returns. The engine-tuning flags
+// (-pool, -admission-queue, ...) apply where the engines live: pass
+// them to the shard processes, not the proxy.
 //
 // -mode selects the execution substrate. "sim" (the historical
 // behaviour) runs every sort on the simulated machine with measured
@@ -120,10 +116,9 @@ func main() {
 		pool        = flag.Int("pool", 0, "machines pooled per configuration (0 = GOMAXPROCS)")
 		workers     = flag.Int("workers", 0, "concurrent batch requests (0 = GOMAXPROCS)")
 		admission   = flag.Int("admission-queue", 0, "in-flight requests allowed per configuration before 503s (0 = default)")
-		shards      = flag.Int("shards", 0, "engine shards behind the consistent-hash router (0 = classic single engine)")
 		clusterMode = flag.String("cluster-mode", "", "multi-process role: \"shard\" serves one engine over the binary wire protocol, \"proxy\" fronts -shard-addrs over HTTP (\"\" = in-process)")
 		shardAddrs  = flag.String("shard-addrs", "", "comma-separated shard process addresses for -cluster-mode=proxy")
-		replicas    = flag.Int("replicas", -1, "replica shards a hot plan key may spill to (-1 = default 1, 0 = spill off; needs -shards)")
+		replicas    = flag.Int("replicas", -1, "replica shards a hot plan key may spill to (-1 = default 1, 0 = spill off; proxy only)")
 		spillHW     = flag.Int("spill-high-water", 0, "in-flight requests on a home shard before spilling to replicas (0 = default)")
 		shedLimit   = flag.Int("shed-limit", 0, "in-flight requests per shard before the router sheds with 503 (0 = default)")
 		mode        = flag.String("mode", "auto", "execution substrate: sim, direct, or auto")
@@ -139,10 +134,6 @@ func main() {
 	)
 	flag.Parse()
 
-	// The ring stays attached for the process lifetime: bounded memory,
-	// one atomic claim per event, and /v1/trace exports the most recent
-	// window on demand.
-	var ring *trace.Ring
 	execMode, err := parseMode(*mode)
 	if err != nil {
 		fatal(err)
@@ -158,22 +149,22 @@ func main() {
 		Mode:           execMode,
 		OracleSample:   *oracle,
 	}
-	if *traceBuf > 0 {
-		ring = trace.NewRing(*traceBuf, *traceSample)
-		ecfg.Trace = ring.Record
-	}
 	switch *clusterMode {
 	case "", "proxy", "shard":
 	default:
 		fatal(fmt.Errorf("unknown -cluster-mode %q (want shard, proxy, or empty)", *clusterMode))
 	}
-	if *clusterMode != "" {
-		if *demo {
-			fatal(errors.New("-demo measures the in-process amortization story; drop -cluster-mode"))
-		}
-		if *shards > 0 {
-			fatal(errors.New("-cluster-mode and -shards are mutually exclusive: shard count is the -shard-addrs list length"))
-		}
+	if *clusterMode != "" && *demo {
+		fatal(errors.New("-demo measures the in-process amortization story; drop -cluster-mode"))
+	}
+	// The ring stays attached for the process lifetime: bounded memory,
+	// one atomic claim per event, and /v1/trace exports the most recent
+	// window on demand. A proxy runs no engine, so it has no machine
+	// events to keep.
+	var ring *trace.Ring
+	if *traceBuf > 0 && *clusterMode != "proxy" {
+		ring = trace.NewRing(*traceBuf, *traceSample)
+		ecfg.Trace = ring.Record
 	}
 	if *clusterMode == "shard" {
 		if err := runShard(*addr, ecfg); err != nil {
@@ -182,48 +173,26 @@ func main() {
 		return
 	}
 
-	// The backend behind the HTTP handler set: one engine, the
-	// in-process sharded cluster (-shards), or the multi-process front
-	// proxy (-cluster-mode=proxy). The handler set is identical in all
-	// three (see the backend interface in handlers.go).
-	var be backend
-	var closeBackend func()
+	// The backend behind the HTTP handler set: one engine, or the
+	// multi-process front proxy (-cluster-mode=proxy). Both are a
+	// *hypersort.Engine, so the handler set is identical.
+	var eng *hypersort.Engine
 	if *clusterMode == "proxy" {
 		addrs := splitAddrs(*shardAddrs)
 		if len(addrs) == 0 {
 			fatal(errors.New("-cluster-mode=proxy requires -shard-addrs"))
 		}
-		cl := hypersort.NewRemoteCluster(hypersort.ClusterConfig{
+		eng = hypersort.NewRemoteCluster(hypersort.ClusterConfig{
 			Replicas:       *replicas,
 			SpillHighWater: *spillHW,
 			ShedLimit:      *shedLimit,
 			BatchWorkers:   *workers,
 			AdmissionQueue: *admission,
 		}, addrs)
-		be, closeBackend = cl, cl.Close
-	} else if *shards > 0 {
-		cl := hypersort.NewCluster(hypersort.ClusterConfig{
-			Shards:         *shards,
-			Replicas:       *replicas,
-			SpillHighWater: *spillHW,
-			ShedLimit:      *shedLimit,
-			PoolSize:       ecfg.PoolSize,
-			BatchWorkers:   ecfg.BatchWorkers,
-			Trace:          ecfg.Trace,
-			AdmissionQueue: ecfg.AdmissionQueue,
-			Mode:           ecfg.Mode,
-			OracleSample:   ecfg.OracleSample,
-		})
-		be, closeBackend = cl, cl.Close
 	} else {
-		eng := hypersort.NewEngine(ecfg)
-		be, closeBackend = eng, eng.Close
+		eng = hypersort.NewEngine(ecfg)
 	}
 	if *demo {
-		if *shards > 0 {
-			fatal(errors.New("-demo measures the single-engine amortization story; drop -shards"))
-		}
-		eng := be.(*hypersort.Engine)
 		defer eng.Close()
 		runDemo(eng, *requests, *m, *seed)
 		return
@@ -232,15 +201,15 @@ func main() {
 	// Graceful shutdown: SIGINT/SIGTERM stops accepting, drains in-flight
 	// requests, then retires the engine's pooled worker goroutines — the
 	// teardown half of the persistent-worker substrate.
-	srv := &http.Server{Handler: newMux(be, ring, *chaos, routePolicy)}
+	srv := &http.Server{Handler: newMux(eng, ring, *chaos, routePolicy)}
 	lis, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)
 	}
 	done := make(chan os.Signal, 1)
 	signal.Notify(done, os.Interrupt, syscall.SIGTERM)
-	fmt.Printf("serve: listening on %s (cluster-mode=%q shards=%d pool=%d workers=%d mode=%s routing=%s trace-buf=%d)\n", lis.Addr(), *clusterMode, *shards, *pool, *workers, execMode, routePolicy, *traceBuf)
-	if err := serveUntil(srv, lis, done, 10*time.Second, closeBackend); err != nil {
+	fmt.Printf("serve: listening on %s (cluster-mode=%q pool=%d workers=%d mode=%s routing=%s trace-buf=%d)\n", lis.Addr(), *clusterMode, *pool, *workers, execMode, routePolicy, *traceBuf)
+	if err := serveUntil(srv, lis, done, 10*time.Second, eng.Close); err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(1)
 	}

@@ -17,9 +17,9 @@ import (
 	"hypersort/internal/obs"
 )
 
-// hintingBackend satisfies the handler backend interface plus
-// queueWaitHinter — the shape of the multi-process proxy, whose shards
-// report queue wait over the wire while the local histogram stays empty.
+// hintingBackend is a handler backend with a fixed QueueWaitHint — the
+// shape of the multi-process proxy, whose shards report queue wait over
+// the wire while the local histogram stays empty.
 type hintingBackend struct{ hint int64 }
 
 func (b *hintingBackend) SortBatchContext(ctx context.Context, reqs []hypersort.Request) []hypersort.Result {
@@ -27,7 +27,11 @@ func (b *hintingBackend) SortBatchContext(ctx context.Context, reqs []hypersort.
 }
 func (b *hintingBackend) InjectFault(hypersort.Config, ...hypersort.Injection) error { return nil }
 func (b *hintingBackend) DisarmFaults(hypersort.Config) error                        { return nil }
-func (b *hintingBackend) QueueWaitHint() int64                                       { return b.hint }
+func (b *hintingBackend) Metrics() hypersort.EngineMetrics                           { return hypersort.EngineMetrics{} }
+func (b *hintingBackend) ClusterMetrics() (hypersort.ClusterMetrics, bool) {
+	return hypersort.ClusterMetrics{}, false
+}
+func (b *hintingBackend) QueueWaitHint() int64 { return b.hint }
 
 // TestRetryAfterConsultsProxyHint pins the proxy-mode half of the
 // Retry-After contract: when the backend reports a remote queue wait

@@ -2,8 +2,10 @@ package hypersort
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
+	"hypersort/internal/cluster"
 	"hypersort/internal/engine"
 	"hypersort/internal/machine"
 	"hypersort/internal/obs"
@@ -113,12 +115,36 @@ type LinkDiedError = machine.LinkDiedError
 // bounds each configuration's in-flight requests (see
 // EngineConfig.AdmissionQueue).
 //
+// The same facade fronts the consistent-hash router over shard
+// processes (NewRemoteCluster): every request method behaves the same,
+// and only the accessors Metrics, ClusterMetrics, QueueWaitHint and
+// Partition tell the two backends apart.
+//
 // Limitations: Config.Trace is rejected — a per-run event hook cannot be
 // cached or pooled; use a dedicated Sorter to trace a run. Plan-search
 // failures (inseparable fault sets) are cached like successes, so
 // retrying a doomed configuration is cheap.
 type Engine struct {
-	eng *engine.Engine
+	eng *engine.Engine   // the in-process engine; nil on a proxy
+	cl  *cluster.Cluster // the router over shard processes; nil on an engine
+}
+
+// backend is what every request method serves through: the in-process
+// engine or the router over shard processes.
+type backend interface {
+	DoContext(ctx context.Context, req engine.Request) engine.Result
+	BatchContext(ctx context.Context, reqs []engine.Request) []engine.Result
+	InjectFault(cfg engine.Config, injs ...machine.Injection) error
+	DisarmFaults(cfg engine.Config) error
+	Close()
+}
+
+// backend returns whichever of the two backends e holds.
+func (e *Engine) backend() backend {
+	if e.cl != nil {
+		return e.cl
+	}
+	return e.eng
 }
 
 // NewEngine builds an engine. It performs no planning up front; plans
@@ -188,8 +214,9 @@ type Result struct {
 // after in-flight requests have drained. The engine remains usable
 // afterwards (machines respawn workers on demand), so Close is a
 // resource release, not a poison pill; it is idempotent and safe to
-// defer at construction time.
-func (e *Engine) Close() { e.eng.Close() }
+// defer at construction time. On a proxy Close is final: it closes the
+// connections to the shard processes, and later requests fail.
+func (e *Engine) Close() { e.backend().Close() }
 
 // EngineMetrics snapshots an engine's lifetime counters: requests
 // served, plan-cache hits and misses, machines constructed (full builds
@@ -197,15 +224,49 @@ func (e *Engine) Close() { e.eng.Close() }
 // cancellations, and direct-substrate counts.
 type EngineMetrics = engine.Metrics
 
-// Metrics returns a snapshot of the engine's lifetime counters.
-func (e *Engine) Metrics() EngineMetrics { return e.eng.Metrics() }
+// errProxyPartition is Partition's error on a proxy.
+var errProxyPartition = errors.New("hypersort: Partition is not available on a proxy: plans live in the shard processes")
+
+// Metrics returns a snapshot of the engine's lifetime counters; on a
+// proxy, the counters of every shard process summed.
+func (e *Engine) Metrics() EngineMetrics {
+	if e.cl != nil {
+		return e.cl.Metrics().Engine
+	}
+	return e.eng.Metrics()
+}
+
+// ClusterMetrics returns the router's counters and the per-shard split;
+// ok is false on a single engine, which has no router.
+func (e *Engine) ClusterMetrics() (m ClusterMetrics, ok bool) {
+	if e.cl == nil {
+		return ClusterMetrics{}, false
+	}
+	return e.cl.Metrics(), true
+}
+
+// QueueWaitHint is the worst median queue wait any shard process
+// reported over the wire, in nanoseconds — the Retry-After signal for a
+// proxy, whose own queue-wait histogram stays empty because it runs no
+// engine. Always 0 on a single engine, which observes its queue wait in
+// the local histogram instead.
+func (e *Engine) QueueWaitHint() int64 {
+	if e.cl == nil {
+		return 0
+	}
+	return e.cl.QueueWaitHint()
+}
 
 // Partition returns the partition decisions for cfg from the engine's
 // plan cache: the first call for a configuration runs the
 // cutting-dimension search, every later call is a lookup. It is the
 // cheap way to inspect (or pre-warm) a configuration without building a
-// Sorter.
+// Sorter. On a proxy it always fails: the plans live in the shard
+// processes, and the wire protocol does not carry them.
 func (e *Engine) Partition(cfg Config) (Partition, error) {
+	if e.cl != nil {
+		return Partition{}, errProxyPartition
+	}
 	ecfg, err := engineConfig(cfg)
 	if err != nil {
 		return Partition{}, err
@@ -226,24 +287,28 @@ func (e *Engine) Partition(cfg Config) (Partition, error) {
 // (or ErrUnrecoverable when the degraded machine admits no plan).
 // Recovery activity is visible in Metrics and on /metrics
 // (hypersort_engine_replans_total, hypersort_engine_recovery_latency_ns,
-// ...). Chaos drills and tests are the intended callers.
+// ...). On a proxy it arms EVERY shard process: the router may serve the
+// configuration from its home shard or, under load, any replica, so a
+// drill must cover them all. Chaos drills and tests are the intended
+// callers.
 func (e *Engine) InjectFault(cfg Config, injs ...Injection) error {
 	ecfg, err := engineConfig(cfg)
 	if err != nil {
 		return err
 	}
-	return e.eng.InjectFault(ecfg, injs...)
+	return e.backend().InjectFault(ecfg, injs...)
 }
 
 // DisarmFaults clears cfg's injection schedule, fired casualties
-// included: the pool serves the configuration at full health again. Call
-// only with no request in flight on the configuration.
+// included (on every shard process, on a proxy): the pool serves the
+// configuration at full health again. Call only with no request in
+// flight on the configuration.
 func (e *Engine) DisarmFaults(cfg Config) error {
 	ecfg, err := engineConfig(cfg)
 	if err != nil {
 		return err
 	}
-	return e.eng.DisarmFaults(ecfg)
+	return e.backend().DisarmFaults(ecfg)
 }
 
 // Sort sorts keys ascending on the configured faulty hypercube, reusing
@@ -265,19 +330,19 @@ func (e *Engine) SortContext(ctx context.Context, cfg Config, keys []Key) ([]Key
 
 // KthSmallest returns the k-th smallest key (1-based) via the engine.
 func (e *Engine) KthSmallest(cfg Config, keys []Key, k int) (Key, Stats, error) {
-	res := e.do(Request{Config: cfg, Op: OpKthSmallest, Keys: keys, K: k})
+	res := e.doCtx(context.Background(), Request{Config: cfg, Op: OpKthSmallest, Keys: keys, K: k})
 	return res.Value, res.Stats, res.Err
 }
 
 // Median returns the lower median of keys via the engine.
 func (e *Engine) Median(cfg Config, keys []Key) (Key, Stats, error) {
-	res := e.do(Request{Config: cfg, Op: OpMedian, Keys: keys})
+	res := e.doCtx(context.Background(), Request{Config: cfg, Op: OpMedian, Keys: keys})
 	return res.Value, res.Stats, res.Err
 }
 
 // TopK returns the k largest keys in ascending order via the engine.
 func (e *Engine) TopK(cfg Config, keys []Key, k int) ([]Key, Stats, error) {
-	res := e.do(Request{Config: cfg, Op: OpTopK, Keys: keys, K: k})
+	res := e.doCtx(context.Background(), Request{Config: cfg, Op: OpTopK, Keys: keys, K: k})
 	return res.Keys, res.Stats, res.Err
 }
 
@@ -292,49 +357,42 @@ func (e *Engine) SortBatch(reqs []Request) []Result {
 
 // SortBatchContext is SortBatch with a shared context: requests still
 // waiting for execution capacity when ctx is done return its error in
-// their Result; requests already running complete normally.
+// their Result; requests already running complete normally. A request
+// whose Config the engine rejects fails without being dispatched.
 func (e *Engine) SortBatchContext(ctx context.Context, reqs []Request) []Result {
-	inner := make([]engine.Request, len(reqs))
-	errs := make([]error, len(reqs))
+	out := make([]Result, len(reqs))
+	inner := make([]engine.Request, 0, len(reqs))
 	for i, r := range reqs {
 		ecfg, err := engineConfig(r.Config)
 		if err != nil {
-			errs[i] = err
+			out[i].Err = err
 			continue
 		}
-		inner[i] = engine.Request{Config: ecfg, Op: r.Op, Keys: r.Keys, K: r.K}
+		inner = append(inner, engine.Request{Config: ecfg, Op: r.Op, Keys: r.Keys, K: r.K})
 	}
-	innerRes := e.eng.BatchContext(ctx, inner)
-	out := make([]Result, len(reqs))
-	for i := range reqs {
-		if errs[i] != nil {
-			out[i] = Result{Err: errs[i]}
-			continue
-		}
-		out[i] = Result{
-			Keys:   innerRes[i].Keys,
-			Value:  innerRes[i].Value,
-			Stats:  statsOf(innerRes[i].Res),
-			Direct: innerRes[i].Direct,
-			Err:    innerRes[i].Err,
+	// The dispatched results fill, in order, the slots conversion left
+	// without an error.
+	res := e.backend().BatchContext(ctx, inner)
+	for i := range out {
+		if out[i].Err == nil {
+			out[i], res = resultOf(res[0]), res[1:]
 		}
 	}
 	return out
 }
 
-// do runs one request through the engine.
-func (e *Engine) do(req Request) Result {
-	return e.doCtx(context.Background(), req)
-}
-
-// doCtx runs one request through the engine under ctx.
+// doCtx runs one request through the backend under ctx.
 func (e *Engine) doCtx(ctx context.Context, req Request) Result {
 	ecfg, err := engineConfig(req.Config)
 	if err != nil {
 		return Result{Err: err}
 	}
-	res := e.eng.DoContext(ctx, engine.Request{Config: ecfg, Op: req.Op, Keys: req.Keys, K: req.K})
-	return Result{Keys: res.Keys, Value: res.Value, Stats: statsOf(res.Res), Direct: res.Direct, Err: res.Err}
+	return resultOf(e.backend().DoContext(ctx, engine.Request{Config: ecfg, Op: req.Op, Keys: req.Keys, K: req.K}))
+}
+
+// resultOf converts an internal result to the public form.
+func resultOf(r engine.Result) Result {
+	return Result{Keys: r.Keys, Value: r.Value, Stats: statsOf(r.Res), Direct: r.Direct, Err: r.Err}
 }
 
 // engineConfig converts the public Config, rejecting what an engine

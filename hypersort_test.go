@@ -1,10 +1,12 @@
 package hypersort
 
 import (
+	"errors"
 	"sort"
 	"sync"
 	"testing"
 
+	"hypersort/internal/engine"
 	"hypersort/internal/workload"
 	"hypersort/internal/xrand"
 )
@@ -322,6 +324,72 @@ func TestEngineRejectsTrace(t *testing.T) {
 	res := eng.SortBatch([]Request{{Config: cfg, Keys: genKeys(10, 1)}})
 	if res[0].Err == nil {
 		t.Fatal("SortBatch accepted a Config.Trace")
+	}
+}
+
+// TestSortBatchDispatchesOnlyAcceptedEntries: an entry whose Config the
+// facade rejects fails alone and never reaches the engine, so it counts
+// as no request there, and the accepted entries keep their positions.
+func TestSortBatchDispatchesOnlyAcceptedEntries(t *testing.T) {
+	eng := NewEngine(EngineConfig{})
+	defer eng.Close()
+	traced := Config{Dim: 3, Trace: func(TraceEvent) {}}
+	keys := genKeys(64, 3)
+	res := eng.SortBatch([]Request{
+		{Config: traced, Keys: keys},
+		{Config: Config{Dim: 3}, Keys: keys},
+		{Config: traced, Keys: keys},
+	})
+	if res[0].Err == nil || res[2].Err == nil {
+		t.Fatal("SortBatch accepted a Config.Trace")
+	}
+	if res[1].Err != nil || len(res[1].Keys) != len(keys) || !sort.SliceIsSorted(res[1].Keys, func(i, j int) bool { return res[1].Keys[i] < res[1].Keys[j] }) {
+		t.Fatalf("accepted entry: %d keys, err %v; want the sorted input", len(res[1].Keys), res[1].Err)
+	}
+	if m := eng.Metrics(); m.Requests != 1 {
+		t.Fatalf("engine counted %d requests, want 1: rejected entries were dispatched", m.Requests)
+	}
+}
+
+// TestProxyFacade drives the facade over the router in front of one
+// loopback shard server: requests round-trip, the accessors report the
+// proxy's view, a rejected batch entry never crosses the wire, and
+// Partition fails with the documented error.
+func TestProxyFacade(t *testing.T) {
+	shard := engine.New(1, 1)
+	defer shard.Close()
+	proxy := NewRemoteCluster(ClusterConfig{}, []string{startShard(t, shard)})
+	defer proxy.Close()
+
+	keys := genKeys(64, 4)
+	res := proxy.SortBatch([]Request{
+		{Config: Config{Dim: 3}, Keys: keys},
+		{Config: Config{Dim: 3, Trace: func(TraceEvent) {}}, Keys: keys},
+	})
+	if res[0].Err != nil || len(res[0].Keys) != len(keys) {
+		t.Fatalf("proxied sort: %d keys, err %v", len(res[0].Keys), res[0].Err)
+	}
+	if res[1].Err == nil {
+		t.Fatal("proxy accepted a Config.Trace")
+	}
+	cm, ok := proxy.ClusterMetrics()
+	if !ok || cm.Requests != 1 {
+		t.Fatalf("router counted %d requests (ok=%v), want 1", cm.Requests, ok)
+	}
+	if m := proxy.Metrics(); m.Requests != 1 {
+		t.Fatalf("shard-summed engine metrics count %d requests, want 1", m.Requests)
+	}
+	if _, err := proxy.Partition(Config{Dim: 3}); !errors.Is(err, errProxyPartition) {
+		t.Fatalf("Partition on a proxy: err %v, want errProxyPartition", err)
+	}
+
+	eng := NewEngine(EngineConfig{})
+	defer eng.Close()
+	if _, ok := eng.ClusterMetrics(); ok {
+		t.Fatal("a single engine reported router metrics")
+	}
+	if eng.QueueWaitHint() != 0 {
+		t.Fatal("a single engine reported a remote queue-wait hint")
 	}
 }
 

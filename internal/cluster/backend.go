@@ -1,10 +1,11 @@
 package cluster
 
 // The router dispatches to shards through the Backend interface so the
-// same ring, spill, and shed machinery drives both deployment shapes:
-// in-process engine shards (localShard, this file) and shard processes
-// behind the wire protocol (RemoteShard, remote.go). The routing layer
-// is deliberately ignorant of which one it holds.
+// same ring, spill, and shed machinery drives both shapes: shard
+// processes behind the wire protocol (RemoteShard, remote.go), which
+// serve, and in-process engine shards (localShard, this file), which
+// the tests and benchmarks use to exercise the router without sockets.
+// The routing layer is deliberately ignorant of which one it holds.
 
 import (
 	"context"

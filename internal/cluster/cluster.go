@@ -1,10 +1,16 @@
-// Package cluster shards the request engine the way the paper shards a
-// faulty hypercube: N independent engine shards — each with its own plan
-// cache and machine pools — behind a front router that consistent-hashes
-// requests by plan key, so traffic on one configuration keeps landing on
-// one shard (one warm plan cache, one warm pool), and the global mutexes
-// a single engine serializes on (plan-key interning, pool maps) split N
-// ways.
+// Package cluster is the router in front of shard processes: N
+// independent engines — each with its own plan cache and machine pools,
+// each in its own process behind the wire protocol (RemoteShard) — and
+// a front router that consistent-hashes requests by plan key, so
+// traffic on one configuration keeps landing on one shard (one warm
+// plan cache, one warm pool). hypersort.NewRemoteCluster and
+// `serve -cluster-mode=proxy` build it with NewWithBackends.
+//
+// New builds the same router over in-process engine shards (localShard).
+// No serving path uses that shape — one engine serves as fast (E27) —
+// but it is the router's in-process test harness: the router tests, the
+// root package's dead-on-arrival test and router throughput benchmark,
+// and the request-ledger benchmark's cluster layer all drive it.
 //
 // The router is the cluster's whole control plane, and it is lock-free:
 // an immutable hash ring, per-shard in-flight atomics, and three
@@ -26,9 +32,9 @@
 //     in-flight caps cannot provide on their own.
 //
 // After routing, the target shard serves the request exactly as a
-// standalone engine would, on the caller's goroutine: direct-eligible
-// sorts run inline on the direct substrate, everything else (simulated
-// sorts, selection ops, armed-chaos configurations) on a leased machine.
+// standalone engine would: direct-eligible sorts run inline on the
+// direct substrate, everything else (simulated sorts, selection ops,
+// armed-chaos configurations) on a leased machine.
 package cluster
 
 import (
@@ -203,7 +209,8 @@ func build(opts Options, backends []Backend) *Cluster {
 	return c
 }
 
-// New builds an in-process cluster. Like the engine it fronts, it
+// New builds the router over in-process engine shards — the test
+// harness described in the package doc. Like the engine it fronts, it
 // performs no planning up front; each shard's plans and machines
 // materialize as the router first sends it traffic.
 func New(opts Options) *Cluster {
@@ -224,17 +231,14 @@ func New(opts Options) *Cluster {
 }
 
 // NewWithBackends builds a cluster over caller-constructed backends —
-// the multi-process entry point (RemoteShard backends, one per shard
-// process address) and the seam tests use to substitute failing
-// backends. Shard IDs follow slice order, so the ring routes
-// identically to an in-process cluster of the same size: the ring
-// hashes shard INDICES, not addresses.
+// the serving entry point (RemoteShard backends, one per shard process
+// address) and the seam tests use to substitute failing backends. Shard
+// IDs follow slice order, so the ring routes identically to an
+// in-process cluster of the same size: the ring hashes shard INDICES,
+// not addresses.
 func NewWithBackends(opts Options, backends []Backend) *Cluster {
 	return build(opts, backends)
 }
-
-// NumShards returns the number of engine shards.
-func (c *Cluster) NumShards() int { return len(c.shards) }
 
 // Instrument registers the cluster's observability bundles in r and
 // attaches them: the router's spill/shed counters, the decision-latency
