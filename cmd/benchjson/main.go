@@ -13,10 +13,11 @@
 // Comparison rules: allocs/op is the tightest gating metric — it is
 // deterministic for these simulations (virtual-time kernels allocate
 // identically run to run). ns/op is gated too, at ±25% by default: wide
-// enough for shared-runner noise, tight enough that losing the execution
-// core's constant-factor wins (persistent workers, SPSC rings, the tree
-// barrier) trips the gate. Raise -time-tolerance per-invocation when a
-// runner class is known-noisy.
+// enough for shared-runner noise, tight enough that losing a
+// constant-factor win on the simulator's hot path (the yield-before-park
+// receive, host-speed local sorts, pooled payload buffers) trips the
+// gate. Raise -time-tolerance per-invocation when a runner class is
+// known-noisy.
 //
 // With -count N the benchmarks run N times (go test -count) and every
 // gated metric is the per-benchmark median, so one noisy sample on a

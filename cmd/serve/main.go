@@ -199,8 +199,8 @@ func main() {
 	}
 
 	// Graceful shutdown: SIGINT/SIGTERM stops accepting, drains in-flight
-	// requests, then retires the engine's pooled worker goroutines — the
-	// teardown half of the persistent-worker substrate.
+	// requests, then closes the backend: a proxy's shard connections. A
+	// single engine holds nothing to release.
 	srv := &http.Server{Handler: newMux(eng, ring, *chaos, routePolicy)}
 	lis, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -213,14 +213,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(1)
 	}
-	fmt.Println("serve: drained, workers retired")
+	fmt.Println("serve: drained")
 }
 
 // serveUntil serves srv on lis until sig delivers, drains in-flight
 // requests (bounded by the drain timeout), and only THEN closes the
 // backend. The ordering is the point: http.Server's ListenAndServe
 // returns the moment Shutdown begins, so closing the backend right
-// after it — the old shape of main — raced engine teardown against
+// after it — the old shape of main — raced backend teardown against
 // handlers still executing requests. A regression test pins the order.
 func serveUntil(srv *http.Server, lis net.Listener, sig <-chan os.Signal, drain time.Duration, closeBackend func()) error {
 	shutdownErr := make(chan error, 1)
@@ -275,13 +275,11 @@ func runShard(addr string, ecfg hypersort.EngineConfig) error {
 	if err := srv.Serve(lis); !errors.Is(err, net.ErrClosed) {
 		return err
 	}
-	// Same drain-before-close ordering as the HTTP path: the engine
-	// shuts down only after in-flight wire requests finished.
+	// Return only after in-flight wire requests finished.
 	if err := <-shutdownErr; err != nil {
 		fmt.Fprintln(os.Stderr, "serve: shard drain:", err)
 	}
-	eng.Close()
-	fmt.Println("serve: shard drained, engine closed")
+	fmt.Println("serve: shard drained")
 	return nil
 }
 

@@ -136,7 +136,6 @@ type backend interface {
 	BatchContext(ctx context.Context, reqs []engine.Request) []engine.Result
 	InjectFault(cfg engine.Config, injs ...machine.Injection) error
 	DisarmFaults(cfg engine.Config) error
-	Close()
 }
 
 // backend returns whichever of the two backends e holds.
@@ -209,14 +208,15 @@ type Result struct {
 	Err    error
 }
 
-// Close retires the persistent worker goroutines of the engine's pooled
-// machines. Call it when done serving — typically on server shutdown,
-// after in-flight requests have drained. The engine remains usable
-// afterwards (machines respawn workers on demand), so Close is a
-// resource release, not a poison pill; it is idempotent and safe to
-// defer at construction time. On a proxy Close is final: it closes the
-// connections to the shard processes, and later requests fail.
-func (e *Engine) Close() { e.backend().Close() }
+// Close closes a proxy's connections to its shard processes; requests
+// issued afterwards fail. On an in-process engine Close does nothing:
+// pooled machines hold no goroutines between requests, so there is
+// nothing to release.
+func (e *Engine) Close() {
+	if e.cl != nil {
+		e.cl.Close()
+	}
+}
 
 // EngineMetrics snapshots an engine's lifetime counters: requests
 // served, plan-cache hits and misses, machines constructed (full builds

@@ -62,4 +62,4 @@ func (b *localShard) Healthy() bool                        { return true }
 func (b *localShard) Load() int64                          { return -1 }
 func (b *localShard) QueueWaitNs() int64                   { return 0 }
 func (b *localShard) Instrument(r *obs.Registry)           { b.eng.Instrument(r) }
-func (b *localShard) Close()                               { b.eng.Close() }
+func (b *localShard) Close()                               {}

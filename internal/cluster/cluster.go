@@ -254,9 +254,9 @@ func (c *Cluster) Instrument(r *obs.Registry) {
 	}
 }
 
-// Close shuts down every shard backend: pooled machine workers retire
-// in-process; transport clients close in multi-process mode. Idempotent,
-// like Engine.Close.
+// Close shuts down every shard backend: remote shards close their
+// transport clients; in-process shards hold nothing to release.
+// Idempotent.
 func (c *Cluster) Close() {
 	for _, s := range c.shards {
 		s.be.Close()

@@ -37,7 +37,6 @@ func fire(t *testing.T, m *machine.Machine, inj machine.Injection) {
 
 func TestOnlineRoundHealthy(t *testing.T) {
 	m := machine.MustNew(machine.Config{Dim: 4, Faults: cube.NewNodeSet(3)})
-	defer m.Close()
 	res, err := diagnosis.OnlineRound(m, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +54,6 @@ func TestOnlineRoundHealthy(t *testing.T) {
 
 func TestOnlineRoundAfterNodeDeath(t *testing.T) {
 	m := machine.MustNew(machine.Config{Dim: 4, Faults: cube.NewNodeSet(9)})
-	defer m.Close()
 	fire(t, m, machine.Injection{Kind: machine.KillNode, Node: 5, At: 20})
 
 	res, err := diagnosis.OnlineRound(m, 1)
@@ -77,7 +75,6 @@ func TestOnlineRoundAfterNodeDeath(t *testing.T) {
 func TestOnlineRoundDeterministic(t *testing.T) {
 	round := func() diagnosis.OnlineResult {
 		m := machine.MustNew(machine.Config{Dim: 4})
-		defer m.Close()
 		fire(t, m, machine.Injection{Kind: machine.KillNode, Node: 11, At: 15})
 		res, err := diagnosis.OnlineRound(m, 42)
 		if err != nil {
@@ -96,7 +93,6 @@ func TestOnlineRoundDeterministic(t *testing.T) {
 
 func TestOnlineRoundAfterLinkDeath(t *testing.T) {
 	m := machine.MustNew(machine.Config{Dim: 3})
-	defer m.Close()
 	fire(t, m, machine.Injection{Kind: machine.KillLink, Link: [2]cube.NodeID{2, 6}, At: 10})
 
 	res, err := diagnosis.OnlineRound(m, 1)

@@ -43,7 +43,6 @@ func TestPredictedCostAgainstSimulated(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer m.Close()
 			layout := core.NewLayout(plan)
 			sch := Compile(layout)
 			for _, keys := range []int{3200, 32000} {

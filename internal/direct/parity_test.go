@@ -69,7 +69,6 @@ func buildRig(t *testing.T, pc parityConfig) *rig {
 	if err != nil {
 		t.Fatalf("machine.New: %v", err)
 	}
-	t.Cleanup(m.Close)
 	layout := core.NewLayout(plan)
 	sch := Compile(layout)
 	return &rig{

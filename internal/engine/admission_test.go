@@ -59,7 +59,6 @@ func inflight(e *Engine, cfg Config) int64 {
 // usable.
 func TestCancelWhileQueuedBatchedPath(t *testing.T) {
 	e := New(1, 4)
-	defer e.Close()
 	release := gateTrace(e)
 	defer release()
 
@@ -119,7 +118,6 @@ func TestCancelWhileQueuedBatchedPath(t *testing.T) {
 // acquire must honor cancellation.
 func TestCancelWhileQueuedDirectPath(t *testing.T) {
 	e := New(1, 4)
-	defer e.Close()
 	release := gateTrace(e)
 	defer release()
 
@@ -164,7 +162,6 @@ func TestCancelWhileQueuedDirectPath(t *testing.T) {
 // ErrAdmissionRejected while both admitted requests still complete.
 func TestAdmissionRejection(t *testing.T) {
 	e := NewOpts(1, 16, BatchOptions{QueueDepth: 2})
-	defer e.Close()
 	release := gateTrace(e)
 	defer release()
 
@@ -217,7 +214,6 @@ func TestAdmissionRejection(t *testing.T) {
 func TestLeaseSortRunReuseMatchesFresh(t *testing.T) {
 	rng := xrand.New(42)
 	pooled := New(1, 1)
-	defer pooled.Close()
 	for trial := 0; trial < 4; trial++ {
 		dim := 3 + rng.IntN(3) // 3..5
 		h := cube.New(dim)
@@ -239,7 +235,6 @@ func TestLeaseSortRunReuseMatchesFresh(t *testing.T) {
 			req := Request{Config: cfg, Op: OpSort, Keys: workload.MustGenerate(workload.Uniform, 50+rng.IntN(350), rng)}
 			fresh := New(1, 1)
 			want := fresh.Do(req)
-			fresh.Close()
 			got := pooled.Do(req)
 			label := fmt.Sprintf("trial %d request %d (dim %d, faults %v, protocol %v, acct %v)",
 				trial, i, dim, faults, cfg.Protocol, cfg.AccountDistribution)
@@ -267,7 +262,6 @@ func TestLeaseSortRunReuseMatchesFresh(t *testing.T) {
 // own multi-run protocols on a leased machine.
 func TestSelectionOpsBypassLanes(t *testing.T) {
 	e := New(2, 4)
-	defer e.Close()
 	e.SetMode(ModeDirect)
 	cfg := Config{Dim: 4, Faults: []cube.NodeID{7}}
 	keys := workload.MustGenerate(workload.Uniform, 200, xrand.New(21))
@@ -314,7 +308,6 @@ func TestDoAfterCloseFallsBackToDirectPath(t *testing.T) {
 // circuits before planning, admission, or any machine.
 func TestDeadOnArrivalNeverAdmitted(t *testing.T) {
 	e := NewOpts(1, 4, BatchOptions{})
-	defer e.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	res := e.DoContext(ctx, Request{Config: Config{Dim: 3}, Op: OpSort,

@@ -18,7 +18,6 @@ import (
 // full sorted input — with the recovery instruments populated.
 func TestChaosRecoveryEndToEnd(t *testing.T) {
 	e := New(2, 2)
-	defer e.Close()
 	reg := obs.NewRegistry()
 	e.Instrument(reg)
 
@@ -128,7 +127,6 @@ func TestChaosPropertySeeded(t *testing.T) {
 			t.Run(fmt.Sprintf("n%d/seed%d", dim, seed), func(t *testing.T) {
 				sc := drawScenario(dim, seed)
 				e := New(1, 1)
-				defer e.Close()
 				res := runScenario(t, e, sc)
 				if res.Err != nil {
 					t.Fatalf("scenario %+v must recover (within budget), got: %v", sc, res.Err)
@@ -153,7 +151,6 @@ func TestChaosRecoveredOutputDeterministic(t *testing.T) {
 	sc := drawScenario(5, 7)
 	run := func() (Result, Metrics) {
 		e := New(1, 1)
-		defer e.Close()
 		res := runScenario(t, e, sc)
 		return res, e.Metrics()
 	}
@@ -181,7 +178,6 @@ func TestChaosRecoveredOutputDeterministic(t *testing.T) {
 // this doubles as the injector/dispatcher memory-safety check.
 func TestChaosConcurrentInjectionRace(t *testing.T) {
 	e := New(2, 4)
-	defer e.Close()
 	cfg := Config{Dim: 4}
 	keys := workload.MustGenerate(workload.Uniform, 200, xrand.New(77))
 	want := sortedRef(keys)

@@ -27,7 +27,6 @@ func TestModeDirectServesSortsWithoutMachines(t *testing.T) {
 	keys := directTestKeys(700, 1)
 
 	dEng := New(1, 1)
-	defer dEng.Close()
 	dEng.SetMode(ModeDirect)
 	dRes := dEng.Do(Request{Config: cfg, Op: OpSort, Keys: keys})
 	if dRes.Err != nil {
@@ -38,7 +37,6 @@ func TestModeDirectServesSortsWithoutMachines(t *testing.T) {
 	}
 
 	sEng := New(1, 1)
-	defer sEng.Close()
 	sRes := sEng.Do(Request{Config: cfg, Op: OpSort, Keys: keys})
 	if sRes.Err != nil {
 		t.Fatal(sRes.Err)
@@ -67,7 +65,6 @@ func TestModeDirectServesSortsWithoutMachines(t *testing.T) {
 // the simulator even in ModeDirect.
 func TestModeDirectIneligibleOps(t *testing.T) {
 	e := New(1, 1)
-	defer e.Close()
 	e.SetMode(ModeDirect)
 	cfg := Config{Dim: 3, Faults: []cube.NodeID{2}}
 	keys := directTestKeys(200, 2)
@@ -104,7 +101,6 @@ func TestModeDirectIneligibleOps(t *testing.T) {
 // restores direct service without rebuilding anything.
 func TestDirectChaosFallback(t *testing.T) {
 	e := New(1, 1)
-	defer e.Close()
 	e.SetMode(ModeDirect)
 	cfg := Config{Dim: 3}
 	keys := directTestKeys(300, 3)
@@ -143,7 +139,6 @@ func TestModeAutoTraceFallback(t *testing.T) {
 	keys := directTestKeys(120, 4)
 
 	traced := New(1, 1)
-	defer traced.Close()
 	traced.SetTrace(func(machine.TraceEvent) {})
 	traced.SetMode(ModeAuto)
 	if res := traced.Do(Request{Config: cfg, Op: OpSort, Keys: keys}); res.Err != nil {
@@ -153,7 +148,6 @@ func TestModeAutoTraceFallback(t *testing.T) {
 	}
 
 	plain := New(1, 1)
-	defer plain.Close()
 	plain.SetMode(ModeAuto)
 	if res := plain.Do(Request{Config: cfg, Op: OpSort, Keys: keys}); res.Err != nil {
 		t.Fatal(res.Err)
@@ -168,7 +162,6 @@ func TestModeAutoTraceFallback(t *testing.T) {
 // sampled runs must show up in both Metrics and the obs bundle.
 func TestDirectOracleSampling(t *testing.T) {
 	e := New(1, 1)
-	defer e.Close()
 	reg := obs.NewRegistry()
 	e.Instrument(reg)
 	e.SetMode(ModeDirect)
@@ -201,7 +194,6 @@ func TestDirectOracleSampling(t *testing.T) {
 // them.
 func TestModeDirectUnbatched(t *testing.T) {
 	e := New(1, 1)
-	defer e.Close()
 	e.SetMode(ModeDirect)
 	cfg := Config{Dim: 4}
 	keys := directTestKeys(500, 5)

@@ -321,23 +321,10 @@ func (e *Engine) planKey(cfg Config) partition.PlanKey {
 	return pk
 }
 
-// Close retires the persistent worker goroutines of every pooled
-// machine. Call it when the engine is done serving — e.g. on server
-// shutdown — after all in-flight requests have completed; requests
-// issued after Close still work (a closed machine respawns its workers
-// on the next run) but lose the warm-worker amortization. Close is
-// idempotent.
-func (e *Engine) Close() {
-	e.mu.Lock()
-	pools := make([]*pool, 0, len(e.pools))
-	for _, p := range e.pools {
-		pools = append(pools, p)
-	}
-	e.mu.Unlock()
-	for _, p := range pools {
-		p.close()
-	}
-}
+// Close does nothing: pooled machines hold no goroutines between
+// requests, so an engine needs no teardown. It stays so callers written
+// against releases that kept warm workers still compile.
+func (e *Engine) Close() {}
 
 // Instrument registers the engine's observability bundles in r and
 // attaches them: request latency and failure accounting, plan-cache and

@@ -1,43 +1,12 @@
 package engine
 
 import (
-	"runtime"
 	"testing"
-	"time"
 
 	"hypersort/internal/cube"
 	"hypersort/internal/workload"
 	"hypersort/internal/xrand"
 )
-
-// TestCloseRetiresWorkersAndEngineStaysUsable drives enough repeat
-// traffic through one configuration to warm a pooled machine's
-// persistent workers, then checks Close returns the process to its
-// goroutine baseline and that the engine still serves afterwards.
-func TestCloseRetiresWorkersAndEngineStaysUsable(t *testing.T) {
-	base := runtime.NumGoroutine()
-	e := New(1, 1)
-	cfg := Config{Dim: 4, Faults: []cube.NodeID{3}}
-	keys := workload.MustGenerate(workload.Uniform, 120, xrand.New(9))
-	for i := 0; i < 3; i++ { // repeat traffic: second run onward is on persistent workers
-		if res := e.Do(Request{Config: cfg, Op: OpSort, Keys: keys}); res.Err != nil {
-			t.Fatal(res.Err)
-		}
-	}
-	e.Close()
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := runtime.NumGoroutine(); got > base {
-		t.Fatalf("goroutines = %d after Close, want <= %d", got, base)
-	}
-	e.Close() // idempotent
-	if res := e.Do(Request{Config: cfg, Op: OpSort, Keys: keys}); res.Err != nil {
-		t.Fatalf("request after Close: %v", res.Err)
-	}
-	e.Close()
-}
 
 // TestPerNodeBufferPooledPerLease pins the Result.PerNode reuse
 // contract: consecutive sorts on the same single-machine pool return

@@ -56,7 +56,6 @@ func TestOracleWithinBudgetRecovers(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.String(), func(t *testing.T) {
 			e := New(1, 1)
-			defer e.Close()
 			armSequential(t, e, c)
 			keys := workload.MustGenerate(workload.Uniform, 240, xrand.New(5))
 			res := e.Do(Request{Config: Config{Dim: c.dim, Faults: c.faults}, Op: OpSort, Keys: keys})
@@ -80,7 +79,6 @@ func TestOracleWithinBudgetRecovers(t *testing.T) {
 // the degraded link configuration must still recover on top of it.
 func TestOracleLinkBudgetRecovers(t *testing.T) {
 	e := New(1, 1)
-	defer e.Close()
 	base := Config{Dim: 3}
 	link := [2]cube.NodeID{0, 1}
 	if err := e.InjectFault(base, machine.Injection{Kind: machine.KillLink, Link: link, At: 0}); err != nil {
@@ -120,7 +118,6 @@ func TestOracleOverBudgetUnrecoverable(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.String(), func(t *testing.T) {
 			e := New(1, 1)
-			defer e.Close()
 			armSequential(t, e, c)
 			keys := workload.MustGenerate(workload.Uniform, 60, xrand.New(3))
 

@@ -62,9 +62,6 @@ type pool struct {
 
 	mu       sync.Mutex
 	template *machine.Machine
-	// all records every machine the pool ever built so Close can retire
-	// their persistent workers.
-	all []*machine.Machine
 }
 
 func newPool(max int, build func(prev *machine.Machine) (*machine.Machine, error)) *pool {
@@ -117,14 +114,12 @@ func (p *pool) grow() (*lease, error) {
 			return nil, err
 		}
 		p.template = m
-		p.all = append(p.all, m)
 		return &lease{m: m}, nil
 	}
 	m, err := p.build(p.template)
 	if err != nil {
 		return nil, err
 	}
-	p.all = append(p.all, m)
 	return &lease{m: m}, nil
 }
 
@@ -173,14 +168,4 @@ func (p *pool) armed() bool {
 	t := p.template
 	p.mu.Unlock()
 	return t != nil && t.InjectionsArmed()
-}
-
-// close retires the persistent workers of every machine the pool built.
-// Callers must guarantee no request is still running on them.
-func (p *pool) close() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, m := range p.all {
-		m.Close()
-	}
 }

@@ -16,7 +16,6 @@ import (
 // key stays byte-identical to the pre-routing encoding.
 func TestMultipathSortThroughEngine(t *testing.T) {
 	e := New(2, 2)
-	defer e.Close()
 	keys := workload.MustGenerate(workload.Uniform, 2000, xrand.New(7))
 	cfg := Config{Dim: 4, Faults: []cube.NodeID{3}, Routing: machine.RouteMultipath}
 	res := e.Do(Request{Config: cfg, Op: OpSort, Keys: keys})
@@ -43,7 +42,6 @@ func TestMultipathSortThroughEngine(t *testing.T) {
 // simulator.
 func TestMultipathNeverDirect(t *testing.T) {
 	e := New(2, 2)
-	defer e.Close()
 	e.SetMode(ModeDirect)
 	keys := workload.MustGenerate(workload.Uniform, 1500, xrand.New(3))
 	cfg := Config{Dim: 4, Routing: machine.RouteMultipath}
@@ -76,7 +74,6 @@ func TestMultipathNeverDirect(t *testing.T) {
 // identically.
 func TestMultipathBypassesLanes(t *testing.T) {
 	e := New(2, 4)
-	defer e.Close()
 	cfg := Config{Dim: 3, Routing: machine.RouteMultipath}
 	keys := workload.MustGenerate(workload.Uniform, 600, xrand.New(1))
 	reqs := make([]Request, 6)

@@ -1,166 +1,22 @@
 package machine
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
-// runBarrier synchronizes a fixed group of kernel goroutines and their
-// virtual clocks: every participant's clock leaves the barrier set to the
-// group maximum. The barrier itself is free in virtual time — it models
-// the logical phase structure of an SPMD algorithm, not a timed
-// collective (the algorithms under study synchronize through their data
-// messages, which are priced).
+// barrier synchronizes the kernel goroutines of one run and their virtual
+// clocks: every participant's clock leaves the barrier set to the group
+// maximum. The barrier itself is free in virtual time — it models the
+// logical phase structure of an SPMD algorithm, not a timed collective
+// (the algorithms under study synchronize through their data messages,
+// which are priced).
 //
-// Implementations are reusable across generations and runs: the machine
-// caches one barrier per participant count and re-arms it between runs.
-type runBarrier interface {
-	// wait blocks participant slot until all participants have arrived,
-	// then releases them all with the maximum clock. ok is false if the
-	// run was aborted.
-	wait(slot int, t Time) (syncTime Time, ok bool)
-	// abort releases all waiters with ok=false and poisons future waits
-	// until the next arm. Safe to call from multiple goroutines.
-	abort()
-	// arm prepares the barrier for a new run: clears the abort state and
-	// drains any values stranded by a mid-generation abort. Called with
-	// no kernel goroutines live.
-	arm()
-	size() int
-}
-
-// useFlatBarrier routes Runs through the legacy centralized barrier; the
-// cross-substrate determinism harness flips it to pin that the combining
-// tree is observationally identical. It is atomic because test engines
-// run concurrently with the harness toggling it (SetFlatBarrier racing a
-// concurrent engine's barrierFor was a real detector finding): atomicity
-// makes the read/write well-defined, while the "no machine mid-Run when
-// toggling" rule below keeps the semantics sane.
-var useFlatBarrier atomic.Bool
-
-// SetFlatBarrier selects the legacy mutex barrier for subsequently
-// started Runs. Test-only; never toggle while a machine is mid-Run.
-func SetFlatBarrier(on bool) { useFlatBarrier.Store(on) }
-
-// barrierArity is the combining-tree fan-in. Four keeps the tree depth at
-// log4(N) — two channel hops for a 64-node group — while each parent
-// still drains its children with a handful of channel receives.
-const barrierArity = 4
-
-// treeBarrier is a channel-based combining tree. Participant slot i is
-// tree node i; its parent is (i-1)/arity. Arrivals combine the running
-// clock maximum upward; the root observes the global maximum and
-// broadcasts it back down the same tree. Compared with the legacy flat
-// barrier this replaces one mutex and a broadcast condition variable —
-// under which N goroutines serialize twice per superstep — with disjoint
-// bounded channels whose contention is spread across the tree.
-//
-// Equivalence with the flat barrier: both release every participant with
-// the maximum clock among the n arrivals of the generation. (The flat
-// barrier technically tracked a running maximum that was never reset
-// across generations, but clocks are monotone and every participant
+// One mutex, one condition variable, a shared counter. The machine owns
+// one barrier and re-arms it for every run. max is a running maximum
+// that arm alone resets: clocks are monotone and every participant
 // leaves a generation at the shared maximum, so the running maximum and
-// the per-generation maximum coincide.)
-type treeBarrier struct {
-	nodes   []treeBarNode
-	stop    chan struct{} // closed on abort; re-made by arm
-	aborted atomic.Bool
-}
-
-type treeBarNode struct {
-	children int
-	arrive   chan Time // buffered to children: child sends never block
-	release  chan Time // buffered 1: parent handoff never blocks
-}
-
-func newTreeBarrier(n int) *treeBarrier {
-	b := &treeBarrier{nodes: make([]treeBarNode, n), stop: make(chan struct{})}
-	for i := range b.nodes {
-		lo := barrierArity*i + 1
-		hi := lo + barrierArity
-		if lo > n {
-			lo = n
-		}
-		if hi > n {
-			hi = n
-		}
-		cc := hi - lo
-		b.nodes[i] = treeBarNode{
-			children: cc,
-			arrive:   make(chan Time, cc),
-			release:  make(chan Time, 1),
-		}
-	}
-	return b
-}
-
-func (b *treeBarrier) size() int { return len(b.nodes) }
-
-func (b *treeBarrier) wait(slot int, t Time) (Time, bool) {
-	nd := &b.nodes[slot]
-	max := t
-	for i := 0; i < nd.children; i++ {
-		select {
-		case v := <-nd.arrive:
-			if v > max {
-				max = v
-			}
-		case <-b.stop:
-			return 0, false
-		}
-	}
-	if slot > 0 {
-		parent := &b.nodes[(slot-1)/barrierArity]
-		select {
-		case parent.arrive <- max:
-		case <-b.stop:
-			return 0, false
-		}
-		select {
-		case v := <-nd.release:
-			max = v
-		case <-b.stop:
-			return 0, false
-		}
-	}
-	for c := barrierArity*slot + 1; c < barrierArity*slot+1+barrierArity && c < len(b.nodes); c++ {
-		b.nodes[c].release <- max
-	}
-	return max, true
-}
-
-func (b *treeBarrier) abort() {
-	if b.aborted.CompareAndSwap(false, true) {
-		close(b.stop)
-	}
-}
-
-func (b *treeBarrier) arm() {
-	if b.aborted.Load() {
-		b.stop = make(chan struct{})
-		b.aborted.Store(false)
-	}
-	// A mid-generation abort can strand combined values in the tree's
-	// channels; drain them so the next run starts clean. (After a normal
-	// completion every channel is already empty.)
-	for i := range b.nodes {
-		nd := &b.nodes[i]
-		for len(nd.arrive) > 0 {
-			<-nd.arrive
-		}
-		for len(nd.release) > 0 {
-			<-nd.release
-		}
-	}
-}
-
-// flatBarrier is the legacy centralized barrier: one mutex, one condition
-// variable, a shared counter. Kept as the reference implementation for
-// the cross-substrate determinism harness (SetFlatBarrier) — it is the
-// semantics the tree barrier must reproduce bit-for-bit.
-type flatBarrier struct {
+// each generation's maximum coincide.
+type barrier struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
+	cond    sync.Cond
 	n       int
 	count   int
 	gen     int
@@ -168,15 +24,18 @@ type flatBarrier struct {
 	aborted bool
 }
 
-func newFlatBarrier(n int) *flatBarrier {
-	b := &flatBarrier{n: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
+// arm prepares the barrier for a run of n participants. Called with no
+// kernel goroutines live.
+func (b *barrier) arm(n int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.cond.L = &b.mu
+	b.n, b.count, b.max, b.aborted = n, 0, 0, false
 }
 
-func (b *flatBarrier) size() int { return b.n }
-
-func (b *flatBarrier) wait(_ int, t Time) (syncTime Time, ok bool) {
+// wait blocks until all participants have arrived, then releases them
+// all with the maximum clock. ok is false if the run was aborted.
+func (b *barrier) wait(t Time) (syncTime Time, ok bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.aborted {
@@ -203,15 +62,11 @@ func (b *flatBarrier) wait(_ int, t Time) (syncTime Time, ok bool) {
 	return b.max, true
 }
 
-func (b *flatBarrier) abort() {
+// abort releases all waiters with ok=false and poisons later waits
+// until the next arm. Safe to call from several goroutines.
+func (b *barrier) abort() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.aborted = true
 	b.cond.Broadcast()
-}
-
-func (b *flatBarrier) arm() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.count, b.max, b.aborted = 0, 0, false
 }

@@ -153,7 +153,6 @@ func TestAbortMidExchangeRecyclesCleanly(t *testing.T) {
 	defer SetReleasePoison(false)
 
 	m := MustNew(Config{Dim: 3})
-	defer m.Close()
 	parts := m.Healthy()
 
 	traffic := func(p *Proc) error {

@@ -1,18 +1,18 @@
-// Cross-substrate determinism harness: the tentpole proof that the
-// lock-free execution core (SPSC link rings, tree barrier, persistent
-// workers) changes only wall-clock speed, never simulated results.
+// Cross-host determinism harness: simulated results must depend only on
+// the kernels' message-passing causality, never on how the host schedules
+// the goroutine-per-processor simulator.
 //
-// The full fault-tolerant sort runs under every substrate combination —
-// {fast paths, general-path-only} x {tree, flat} barrier — and under
-// GOMAXPROCS 1 and NumCPU, on both cold (first-Run, one-shot goroutines)
-// and warm (persistent-worker) machines. Every Result quantity that
-// virtual time defines — Makespan, Messages, KeysSent, KeyHops,
-// Comparisons, PerNode — and the sorted output must be bit-identical
-// across all of them. RecvWaits is excluded by design: it counts host
-// scheduling stalls, which legitimately vary across substrates.
+// The full fault-tolerant sort runs under GOMAXPROCS 1 (every wait goes
+// through the park/wake path) and NumCPU (true parallelism), each on a
+// cold machine (its first Run) and a warm one (a Run after another on
+// the same machine, reusing its mailboxes, barrier and payload buffers).
+// Every Result quantity that virtual time defines — Makespan, Messages,
+// KeysSent, KeyHops, Comparisons, PerNode — and the sorted output must
+// be bit-identical across all of them. RecvWaits is excluded by design:
+// it counts host scheduling stalls, which legitimately vary.
 //
-// The tests mutate package-level substrate knobs and GOMAXPROCS, so
-// nothing here may run in parallel with other tests (no t.Parallel).
+// The tests change GOMAXPROCS, so nothing here may run in parallel with
+// other tests (no t.Parallel).
 package machine_test
 
 import (
@@ -31,38 +31,42 @@ import (
 	"hypersort/internal/xrand"
 )
 
-// variant is one execution-substrate configuration under test.
+// variant is one host configuration under test.
 type variant struct {
-	name        string
-	generalOnly bool
-	flatBarrier bool
-	procs       int
+	name  string
+	procs int
+	// warm runs the variant's workload once on its machine before the
+	// measured run.
+	warm bool
 }
 
 func substrateVariants() []variant {
 	ncpu := runtime.NumCPU()
-	vs := []variant{
-		{"fast/tree/procs=1", false, false, 1},
-		{"fast/tree/procs=n", false, false, ncpu},
-		{"general/tree/procs=n", true, false, ncpu},
-		{"fast/flat/procs=n", false, true, ncpu},
-		{"general/flat/procs=1", true, true, 1},
+	return []variant{
+		{"cold/procs=1", 1, false},
+		{"warm/procs=1", 1, true},
+		{"cold/procs=n", ncpu, false},
+		{"warm/procs=n", ncpu, true},
 	}
-	return vs
 }
 
-// withSubstrate runs fn under the variant's knobs, restoring the
-// defaults (and GOMAXPROCS) afterwards.
+// withSubstrate runs fn under the variant's GOMAXPROCS, restoring it
+// afterwards.
 func withSubstrate(v variant, fn func()) {
 	prev := runtime.GOMAXPROCS(v.procs)
-	machine.SetGeneralPathOnly(v.generalOnly)
-	machine.SetFlatBarrier(v.flatBarrier)
-	defer func() {
-		runtime.GOMAXPROCS(prev)
-		machine.SetGeneralPathOnly(false)
-		machine.SetFlatBarrier(false)
-	}()
+	defer runtime.GOMAXPROCS(prev)
 	fn()
+}
+
+// warmUp runs a sort on m first when v is a warm variant.
+func warmUp(t *testing.T, v variant, m *machine.Machine, plan *partition.Plan, keys []sortutil.Key) {
+	t.Helper()
+	if !v.warm {
+		return
+	}
+	if _, _, err := core.FTSortOpt(m, plan, keys, core.Options{}); err != nil {
+		t.Fatalf("%s warm-up: %v", v.name, err)
+	}
 }
 
 // resultsEqual compares every virtual-time-defined Result field,
@@ -102,27 +106,21 @@ func TestCrossSubstrateDeterminism(t *testing.T) {
 			for i, v := range substrateVariants() {
 				withSubstrate(v, func() {
 					m := machine.MustNew(machine.Config{Dim: tc.dim, Faults: faults, Model: tc.model})
-					// Two runs per machine: the first exercises the cold
-					// one-shot path, the second the persistent-worker
-					// path. Both must agree with each other and with
-					// every other variant.
-					for run := 0; run < 2; run++ {
-						out, res, err := core.FTSortOpt(m, plan, keys, core.Options{})
-						if err != nil {
-							t.Fatalf("%s run %d: %v", v.name, run, err)
-						}
-						if i == 0 && run == 0 {
-							refOut, refRes = out, res
-							return
-						}
-						if !slices.Equal(out, refOut) {
-							t.Errorf("%s run %d: sorted output diverges", v.name, run)
-						}
-						if !resultsEqual(res, refRes) {
-							t.Errorf("%s run %d: Result diverges\n got %+v\nwant %+v", v.name, run, res, refRes)
-						}
+					warmUp(t, v, m, plan, keys)
+					out, res, err := core.FTSortOpt(m, plan, keys, core.Options{})
+					if err != nil {
+						t.Fatalf("%s: %v", v.name, err)
 					}
-					m.Close()
+					if i == 0 {
+						refOut, refRes = out, res
+						return
+					}
+					if !slices.Equal(out, refOut) {
+						t.Errorf("%s: sorted output diverges", v.name)
+					}
+					if !resultsEqual(res, refRes) {
+						t.Errorf("%s: Result diverges\n got %+v\nwant %+v", v.name, res, refRes)
+					}
 				})
 			}
 		})
@@ -155,11 +153,11 @@ func TestCrossSubstrateDeterminismInjection(t *testing.T) {
 			// The casualty run: the kill must strike the same victim at
 			// the same virtual time on every substrate.
 			m := machine.MustNew(machine.Config{Dim: 4})
+			warmUp(t, v, m, plan, keys)
 			if err := m.Arm(machine.Injection{Kind: machine.KillNode, Node: 5, At: 30}); err != nil {
 				t.Fatal(err)
 			}
 			_, _, err := core.FTSortOpt(m, plan, keys, core.Options{})
-			m.Close()
 			var died machine.ProcessorDiedError
 			if !errors.As(err, &died) {
 				t.Fatalf("%s: want ProcessorDiedError, got %v", v.name, err)
@@ -168,8 +166,8 @@ func TestCrossSubstrateDeterminismInjection(t *testing.T) {
 			// The degraded re-run: recovery output is as deterministic as
 			// the healthy path.
 			dm := machine.MustNew(machine.Config{Dim: 4, Faults: degradedFaults})
+			warmUp(t, v, dm, degradedPlan, keys)
 			out, res, err := core.FTSortOpt(dm, degradedPlan, keys, core.Options{})
-			dm.Close()
 			if err != nil {
 				t.Fatalf("%s: degraded run: %v", v.name, err)
 			}
@@ -192,8 +190,8 @@ func TestCrossSubstrateDeterminismInjection(t *testing.T) {
 }
 
 // TestCrossSubstrateDeterminismCollectives covers the selection path's
-// AllReduce/Scatter/Gather traffic (multi-writer fan-in at the root, the
-// general path's reason to exist) with distribution accounting on.
+// AllReduce/Scatter/Gather traffic (multi-writer fan-in at the root)
+// with distribution accounting on.
 func TestCrossSubstrateDeterminismCollectives(t *testing.T) {
 	faults := cube.NewNodeSet(5)
 	plan, err := partition.BuildPlan(4, faults)
@@ -207,6 +205,7 @@ func TestCrossSubstrateDeterminismCollectives(t *testing.T) {
 	for i, v := range substrateVariants() {
 		withSubstrate(v, func() {
 			m := machine.MustNew(machine.Config{Dim: 4, Faults: faults})
+			warmUp(t, v, m, plan, keys)
 			out, res, err := core.FTSortOpt(m, plan, keys, core.Options{AccountDistribution: true})
 			if err != nil {
 				t.Fatalf("%s: %v", v.name, err)

@@ -5,7 +5,7 @@ package machine
 // paper's fault model is static — §2's partition assumes the fault set is
 // known before the sort starts — so injection is the bridge to the
 // dynamic scenario: a fault fires mid-run, the victim's kernel aborts
-// through the ordinary failure cascade (runState.fail → barrier and
+// through the ordinary failure cascade (Machine.fail → barrier and
 // mailbox aborts), and the caller re-diagnoses and replans on the
 // now-degraded machine.
 //

@@ -33,7 +33,6 @@ func exchangeKernel(rounds int) machine.Kernel {
 
 func TestKillNodeAtVirtualTime(t *testing.T) {
 	m := machine.MustNew(machine.Config{Dim: 3})
-	defer m.Close()
 	victim := cube.NodeID(5)
 	if err := m.Arm(machine.Injection{Kind: machine.KillNode, Node: victim, At: 10}); err != nil {
 		t.Fatal(err)
@@ -85,7 +84,6 @@ func TestKillNodeAtVirtualTime(t *testing.T) {
 func TestKillNodeAfterMessagesIsDeterministic(t *testing.T) {
 	run := func() machine.Time {
 		m := machine.MustNew(machine.Config{Dim: 3})
-		defer m.Close()
 		if err := m.Arm(machine.Injection{Kind: machine.KillNode, Node: 2, AfterMessages: 7}); err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +107,6 @@ func TestKillNodeAfterMessagesIsDeterministic(t *testing.T) {
 
 func TestKillLink(t *testing.T) {
 	m := machine.MustNew(machine.Config{Dim: 3})
-	defer m.Close()
 	link := [2]cube.NodeID{0, 1}
 	if err := m.Arm(machine.Injection{Kind: machine.KillLink, Link: link, At: 5}); err != nil {
 		t.Fatal(err)
@@ -150,15 +147,14 @@ func TestKillLink(t *testing.T) {
 
 func TestArmValidation(t *testing.T) {
 	m := machine.MustNew(machine.Config{Dim: 3, Faults: cube.NewNodeSet(1)})
-	defer m.Close()
 	bad := []machine.Injection{
-		{Kind: machine.KillNode, Node: 99},                          // outside the cube
-		{Kind: machine.KillNode, Node: 1},                           // already faulty
-		{Kind: machine.KillNode, Node: 2, At: -1},                   // negative trigger
-		{Kind: machine.KillLink, Link: [2]cube.NodeID{0, 3}},        // not an edge
-		{Kind: machine.KillLink, Link: [2]cube.NodeID{0, 99}},       // endpoint outside
+		{Kind: machine.KillNode, Node: 99},                                     // outside the cube
+		{Kind: machine.KillNode, Node: 1},                                      // already faulty
+		{Kind: machine.KillNode, Node: 2, At: -1},                              // negative trigger
+		{Kind: machine.KillLink, Link: [2]cube.NodeID{0, 3}},                   // not an edge
+		{Kind: machine.KillLink, Link: [2]cube.NodeID{0, 99}},                  // endpoint outside
 		{Kind: machine.KillLink, Link: [2]cube.NodeID{0, 1}, AfterMessages: 2}, // wrong trigger kind
-		{Kind: machine.InjectionKind(9), Node: 2},                   // unknown kind
+		{Kind: machine.InjectionKind(9), Node: 2},                              // unknown kind
 	}
 	for i, inj := range bad {
 		if err := m.Arm(inj); err == nil {
@@ -172,9 +168,7 @@ func TestArmValidation(t *testing.T) {
 
 func TestCloneSharesInjector(t *testing.T) {
 	template := machine.MustNew(machine.Config{Dim: 3})
-	defer template.Close()
 	clone := template.Clone()
-	defer clone.Close()
 	// Arm on the template AFTER the clone exists: the shared injector
 	// must still cover the clone (the pool-arming contract).
 	if err := template.Arm(machine.Injection{Kind: machine.KillNode, Node: 6, At: 0}); err != nil {

@@ -30,8 +30,11 @@
 package machine
 
 import (
+	"errors"
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"hypersort/internal/cube"
 	"hypersort/internal/obs"
@@ -131,9 +134,9 @@ type Config struct {
 // simulations of the same configuration at once (e.g. a request pool)
 // should give each concurrent run its own Machine via Clone.
 //
-// The first Run spawns one persistent worker goroutine per healthy node;
-// subsequent Runs reuse them. Close retires the workers (a finalizer
-// catches machines dropped without Close; see Close).
+// Every Run starts one goroutine per participant and waits for all of
+// them to finish, so a Machine holds no goroutines between runs and
+// needs no teardown: dropping it is enough.
 type Machine struct {
 	h      cube.Hypercube
 	cfg    Config
@@ -162,15 +165,18 @@ type Machine struct {
 	cong      *congestion
 	replayBuf []sendRec
 
-	// Execution substrate state, reused across Runs so the steady state
-	// allocates nothing per call.
-	stop    chan struct{} // retires the persistent workers; nil when none live
-	ranOnce bool          // a second Run upgrades to persistent workers
-	rs      runState
-	procs   []Proc
-	inGroup []bool // current run's participant set, indexed by address
-	bar     runBarrier
-	barFlat bool // which implementation bar is, so knob flips rebuild it
+	// Run state, reused across Runs so the steady state allocates
+	// nothing per call. slots[i] runs participant i's kernel; the
+	// closures are built once per machine because a go statement with
+	// arguments would allocate per participant per run.
+	wg       sync.WaitGroup
+	kernel   Kernel
+	errs     []error
+	aborting atomic.Bool
+	slots    []func()
+	procs    []Proc
+	inGroup  []bool // current run's participant set, indexed by address
+	bar      barrier
 }
 
 // node is the per-processor state. Each node's clock and counters are
@@ -179,13 +185,12 @@ type Machine struct {
 type node struct {
 	id     cube.NodeID
 	clock  Time
-	box    *mailbox
+	box    mailbox
 	faulty bool
-	work   chan runTask // persistent worker's task handoff (healthy nodes)
 
 	// cache is the node's private payload freelist, tried before the
 	// machine-wide pool. Only the node's own kernel goroutine touches it
-	// (runs hand nodes off through channels, so cross-run access is
+	// (Run starts and joins the goroutines, so cross-run access is
 	// ordered), making the hot Send/Release path mutex-free: exchanges
 	// release one payload and acquire one per step, so the symmetric flow
 	// keeps this tiny stack hot. Inline array: no allocation per node.
@@ -278,7 +283,7 @@ func New(cfg Config) (*Machine, error) {
 	m.nodes = make([]*node, h.Size())
 	for i := range m.nodes {
 		id := cube.NodeID(i)
-		m.nodes[i] = &node{id: id, box: newMailbox(h.Size()), faulty: cfg.Faults.Has(id)}
+		m.nodes[i] = &node{id: id, box: newMailbox(), faulty: cfg.Faults.Has(id)}
 	}
 	m.healthy = make([]cube.NodeID, 0, h.Size()-len(cfg.Faults))
 	for id := cube.NodeID(0); id < cube.NodeID(h.Size()); id++ {
@@ -309,7 +314,7 @@ func (m *Machine) Clone() *Machine {
 	c.nodes = make([]*node, m.h.Size())
 	for i := range c.nodes {
 		id := cube.NodeID(i)
-		c.nodes[i] = &node{id: id, box: newMailbox(m.h.Size()), faulty: m.cfg.Faults.Has(id)}
+		c.nodes[i] = &node{id: id, box: newMailbox(), faulty: m.cfg.Faults.Has(id)}
 	}
 	return c
 }
@@ -403,33 +408,16 @@ func (m *Machine) RunInto(participants []cube.NodeID, kernel Kernel, perNode map
 	defer m.unmarkParticipants(participants)
 	m.resetNodes()
 	n := len(participants)
-	// A machine's first run uses throwaway goroutines; persistent workers
-	// (and their teardown obligations) start paying off at the second
-	// run, so only machines that are actually reused get them. See
-	// startWorkers.
-	persistent := m.ranOnce
-	m.ranOnce = true
-	if persistent {
-		m.startWorkers()
-	}
-
-	rs := m.prepareRun(n)
-	rs.wg.Add(n)
+	m.prepareRun(kernel, n)
+	m.wg.Add(n)
 	for i, id := range participants {
-		p := &m.procs[i]
-		*p = Proc{m: m, nd: m.nodes[id], slot: i}
-		task := runTask{kernel: kernel, proc: p, slot: i, rs: rs}
-		if persistent {
-			// The worker consumed its previous task before its wg.Done,
-			// so this buffered send never blocks.
-			m.nodes[id].work <- task
-		} else {
-			go runOneShot(task)
-		}
+		m.procs[i] = Proc{m: m, nd: m.nodes[id]}
+		go m.slots[i]()
 	}
-	rs.wg.Wait()
+	m.wg.Wait()
+	m.kernel = nil // do not keep the kernel's captures alive between runs
 
-	if firstErr := rs.firstError(); firstErr != nil {
+	if firstErr := m.firstError(); firstErr != nil {
 		return Result{}, firstErr
 	}
 	res := Result{PerNode: perNode}
@@ -517,27 +505,64 @@ func (m *Machine) unmarkParticipants(participants []cube.NodeID) {
 	}
 }
 
-// prepareRun re-arms the shared run state for a run of n participants:
-// barrier, abort flag, error slots, and Proc storage, all reused across
-// runs so the steady state allocates nothing per call.
-func (m *Machine) prepareRun(n int) *runState {
-	m.bar = m.barrierFor(n)
-	rs := &m.rs
-	rs.nodes = m.nodes
-	rs.bar = m.bar
-	rs.aborting.Store(false)
-	if cap(rs.errs) < n {
-		rs.errs = make([]error, n)
+// prepareRun re-arms the run state for a run of kernel on n
+// participants: barrier, abort flag, error slots, Proc storage and slot
+// closures, all reused across runs so the steady state allocates nothing
+// per call.
+func (m *Machine) prepareRun(kernel Kernel, n int) {
+	m.kernel = kernel
+	m.bar.arm(n)
+	m.aborting.Store(false)
+	if cap(m.errs) < n {
+		m.errs = make([]error, n)
 	} else {
-		rs.errs = rs.errs[:n]
-		clear(rs.errs)
+		m.errs = m.errs[:n]
+		clear(m.errs)
 	}
 	if cap(m.procs) < n {
 		m.procs = make([]Proc, n)
 	} else {
 		m.procs = m.procs[:n]
 	}
-	return rs
+	for i := len(m.slots); i < n; i++ {
+		m.slots = append(m.slots, func() { m.runSlot(i) })
+	}
+}
+
+// runSlot executes participant i's kernel and reports any failure.
+func (m *Machine) runSlot(i int) {
+	defer m.wg.Done()
+	if err := m.procs[i].runKernel(m.kernel); err != nil {
+		m.fail(i, err)
+	}
+}
+
+// fail records a participant's error and aborts the run exactly once,
+// waking every peer blocked in Recv or Barrier.
+func (m *Machine) fail(slot int, err error) {
+	m.errs[slot] = err
+	if m.aborting.CompareAndSwap(false, true) {
+		m.bar.abort()
+		for _, nd := range m.nodes {
+			nd.box.abort()
+		}
+	}
+}
+
+// firstError selects the error to report for a finished run, preferring
+// the root-cause failure over the ErrAborted echoes it triggered in the
+// other participants. Called after the run's goroutines have finished.
+func (m *Machine) firstError() error {
+	var firstErr error
+	for _, err := range m.errs {
+		if err == nil {
+			continue
+		}
+		if firstErr == nil || (errors.Is(firstErr, ErrAborted) && !errors.Is(err, ErrAborted)) {
+			firstErr = err
+		}
+	}
+	return firstErr
 }
 
 // resetNodes clears every node's clock, counters, and mailbox for a fresh
@@ -550,33 +575,19 @@ func (m *Machine) resetNodes() {
 		nd.slog, nd.seq, nd.striped = nd.slog[:0], 0, 0
 		// Undelivered payloads from an aborted previous run go back to
 		// the pool: no kernel goroutine is alive to reference them.
-		for _, msg := range nd.box.reset() {
-			m.bufs.put(msg.keys)
-		}
+		nd.box.reset(m.bufs)
 	}
-}
-
-// barrierFor returns the cached barrier re-armed for a run of n
-// participants, rebuilding it when the participant count or the harness's
-// substrate knob changed since the last run.
-func (m *Machine) barrierFor(n int) runBarrier {
-	flat := useFlatBarrier.Load()
-	if m.bar == nil || m.bar.size() != n || m.barFlat != flat {
-		if flat {
-			m.bar = newFlatBarrier(n)
-		} else {
-			m.bar = newTreeBarrier(n)
-		}
-		m.barFlat = flat
-	}
-	m.bar.arm()
-	return m.bar
 }
 
 // RunAllHealthy executes kernel on every fault-free processor.
 func (m *Machine) RunAllHealthy(kernel Kernel) (Result, error) {
 	return m.Run(m.Healthy(), kernel)
 }
+
+// Close does nothing: a Machine holds no goroutines between runs. It
+// stays so callers written against releases that kept warm workers
+// still compile.
+func (m *Machine) Close() {}
 
 // Hops returns the hop count a message pays between src and dst under the
 // machine's routing discipline, or an error if no route exists (possible

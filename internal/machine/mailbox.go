@@ -3,7 +3,6 @@ package machine
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"hypersort/internal/cube"
 	"hypersort/internal/sortutil"
@@ -18,182 +17,43 @@ type message struct {
 	keys    []sortutil.Key
 }
 
-// Ring geometry. Every kernel in the repo keeps O(1) messages in flight
-// per peer (an Exchange has one, the half-exchange protocol two, a
-// collective one per child), so four slots cover the steady state; a full
-// ring spills to the general queue without losing ordering.
-const (
-	ringSlots = 4
-	ringMask  = ringSlots - 1
-)
-
-// spscMaxDim bounds the per-source ring index: a node of a dimension-n
-// machine carries a 2^n-entry pointer array (O(4^n) per machine), fine
-// through Q_10 and absurd beyond. Larger machines use the general path
-// only — at that scale the simulation cost dwarfs mailbox constant
-// factors anyway.
-const spscMaxDim = 10
-
-// generalPathOnly and useFlatBarrier are substrate knobs for the
-// cross-substrate determinism harness: they force the mutex general path
-// and the legacy flat barrier so tests can pin that the lock-free fast
-// paths produce bit-identical Results. Toggle only via the Set* helpers,
-// never while a machine is mid-Run.
-var generalPathOnly bool
-
-// SetGeneralPathOnly forces every message through the mutex-guarded
-// general queue, bypassing the SPSC link rings. Test-only: machines built
-// or run while the knob is flipped must not be mid-Run, and production
-// code must never call this.
-func SetGeneralPathOnly(on bool) { generalPathOnly = on }
-
-// ring is one (src, dst) link's single-producer single-consumer queue.
-// The hypercube gives the SPSC invariant structurally: a message's source
-// field is always the sending kernel's own address, and each address runs
-// exactly one kernel goroutine per machine, so the (src, dst) link has
-// one writer by construction. The consumer is dst's kernel goroutine.
-//
-// head is owned by the consumer and tail by the producer; each publishes
-// its cursor atomically so the other side observes a consistent prefix
-// (tail.Store is the release for the slot write, head.Store the release
-// for the slot clear).
-type ring struct {
-	head atomic.Uint32 // next slot the consumer pops
-	tail atomic.Uint32 // next slot the producer fills
-	// spilled is producer-owned: once the ring overflows mid-run the
-	// producer routes every later message on this link to the general
-	// queue, so the per-(src, tag) FIFO order receivers rely on survives
-	// (ring entries always predate general-queue entries from the same
-	// source). reset clears it between runs.
-	spilled bool
-	slots   [ringSlots]message
-}
-
 // mailbox is an MPI-style receive queue with (source, tag) matching.
 // Sends never block; receives block until a matching message is present
 // or the run is aborted.
 //
-// Layout: the fast path is one bounded SPSC ring per incoming link,
-// indexed by source address, paired with a single notification channel
-// the consumer parks on. Messages popped past while scanning for a tag
-// (receivers may take tags out of order) land in the consumer-owned
-// stash. The general path — a mutex-guarded queue — catches ring
-// overflow and machines too large for per-source ring arrays. Logical
-// semantics are identical to an unbounded queue: kernels exchange O(1)
-// outstanding messages per peer, and an algorithmic bug shows up as an
-// observable stuck queue rather than a silent deadlock.
+// One mutex guards one queue per node; the receiver parks on a
+// capacity-1 notify channel. Logical semantics are those of an unbounded
+// queue: kernels exchange O(1) outstanding messages per peer, and an
+// algorithmic bug shows up as an observable stuck queue rather than a
+// silent deadlock.
 type mailbox struct {
-	// rings[src] is the SPSC fast path for the src→here link; entries are
-	// allocated lazily by the producer on first use (the producer is the
-	// sole writer of its own index; the atomic store publishes the ring
-	// to the consumer). nil slice on machines above spscMaxDim.
-	rings []atomic.Pointer[ring]
-	// slab backs lazily created rings: one allocation sized to the
-	// typical in-degree (a node hears from about Dim distinct sources
-	// over a sort) instead of one per link, made on the first ring
-	// request so idle nodes allocate nothing. Guarded by slabMu — link
-	// creation happens once per link per machine lifetime, so the lock
-	// is cold. ringList records every ring handed out so reset touches
-	// only links that carried traffic.
-	slabMu   sync.Mutex
-	slabSize int
-	slab     []ring
-	ringList []*ring
-	// stash is consumer-owned: messages popped off a ring front while
-	// scanning for a different tag. Always older than anything still in
-	// a ring, so matching it first preserves per-(src, tag) FIFO.
-	stash []message
-	// notify is the consumer's wakeup latch. Capacity 1: producers do a
-	// non-blocking send after an enqueue when the consumer may be parked
-	// (see parked); a stale token only costs one spurious re-check.
-	notify chan struct{}
-	// parked is the Dekker flag that lets producers skip the notify
-	// channel entirely on the hot path. The consumer stores 1, then
-	// re-checks the queues before blocking; a producer publishes its
-	// message (atomic tail/slow store), then loads parked. Both sides use
-	// sequentially consistent atomics, so either the producer observes
-	// parked=1 and posts a wakeup, or the consumer's re-check observes
-	// the message — a missed wakeup would need both loads to precede both
-	// stores, which no interleaving of the total order allows.
-	parked  atomic.Int32
-	aborted atomic.Bool
-
-	// general path: spilled links, oversized machines, and the
-	// generalPathOnly harness knob. slow mirrors len(q) so the consumer
-	// can skip the lock when the queue is empty.
-	mu   sync.Mutex
-	q    []message
-	slow atomic.Int32
+	mu sync.Mutex
+	q  []message
+	// parked is set by the receiver, under mu, just before it blocks on
+	// notify. A producer that enqueues while it is set clears it and
+	// posts the wakeup; since both sides hold mu, either the receiver's
+	// last scan saw the message or the producer sees parked.
+	parked  bool
+	aborted bool
+	notify  chan struct{}
 }
 
-// newMailbox builds a mailbox for a machine of the given node count.
-func newMailbox(size int) *mailbox {
-	mb := &mailbox{notify: make(chan struct{}, 1)}
-	if size <= 1<<spscMaxDim {
-		mb.rings = make([]atomic.Pointer[ring], size)
-		mb.slabSize = 2
-		for s := size; s > 1; s >>= 1 {
-			mb.slabSize++ // dim + 2: the typical sort-kernel in-degree
-		}
-	}
-	return mb
-}
+func newMailbox() mailbox { return mailbox{notify: make(chan struct{}, 1)} }
 
-// producerRing returns the caller's SPSC ring into this mailbox, creating
-// it on first use, or nil when the link must use the general path. Called
-// only by the producing kernel goroutine for its own source address.
-func (mb *mailbox) producerRing(src cube.NodeID) *ring {
-	if mb.rings == nil || generalPathOnly {
-		return nil
-	}
-	if r := mb.rings[src].Load(); r != nil {
-		if r.spilled {
-			return nil
-		}
-		return r
-	}
-	mb.slabMu.Lock()
-	if mb.slab == nil && len(mb.ringList) == 0 {
-		mb.slab = make([]ring, mb.slabSize)
-	}
-	var r *ring
-	if len(mb.slab) > 0 {
-		r = &mb.slab[0]
-		mb.slab = mb.slab[1:]
-	} else {
-		r = new(ring)
-	}
-	mb.ringList = append(mb.ringList, r)
-	mb.slabMu.Unlock()
-	mb.rings[src].Store(r)
-	return r
-}
-
-// put enqueues a message and wakes the receiver. Called by the kernel
-// goroutine whose address is m.src (the SPSC invariant).
+// put enqueues a message and wakes the receiver if it is parked.
 func (mb *mailbox) put(m message) {
-	if r := mb.producerRing(m.src); r != nil {
-		if t := r.tail.Load(); t-r.head.Load() < ringSlots {
-			r.slots[t&ringMask] = m
-			r.tail.Store(t + 1)
-			if mb.parked.Load() != 0 {
-				mb.wake()
-			}
-			return
-		}
-		r.spilled = true
-	}
 	mb.mu.Lock()
 	mb.q = append(mb.q, m)
+	wake := mb.parked
+	mb.parked = false
 	mb.mu.Unlock()
-	mb.slow.Add(1)
-	if mb.parked.Load() != 0 {
+	if wake {
 		mb.wake()
 	}
 }
 
-// wake posts the consumer's wakeup token (non-blocking: a pending token
-// already guarantees the consumer will re-check).
+// wake posts the receiver's wakeup token (non-blocking: a pending token
+// already guarantees the receiver will re-check).
 func (mb *mailbox) wake() {
 	select {
 	case mb.notify <- struct{}{}:
@@ -201,11 +61,11 @@ func (mb *mailbox) wake() {
 	}
 }
 
-// abort wakes a blocked receiver; its take call returns ok=false. The
-// wakeup is posted unconditionally — aborts are rare and must never race
-// the parked-flag elision.
+// abort wakes a blocked receiver; its take call returns ok=false.
 func (mb *mailbox) abort() {
-	mb.aborted.Store(true)
+	mb.mu.Lock()
+	mb.aborted = true
+	mb.mu.Unlock()
 	mb.wake()
 }
 
@@ -216,132 +76,57 @@ func (mb *mailbox) abort() {
 func (mb *mailbox) take(src cube.NodeID, tag Tag) (m message, waited, ok bool) {
 	spun := false
 	for {
-		if mb.aborted.Load() {
-			return message{}, waited, false
-		}
-		if m, ok := mb.match(src, tag); ok {
-			return m, waited, true
-		}
-		waited = true
-		// Adaptive wait: yield once before parking. In the dominant
-		// exchange ping-pong the partner is already runnable and sends
-		// within one scheduling round, so the re-check after Gosched
-		// usually hits — skipping the park/wake round trip (sudog queue,
-		// channel lock, goready) entirely. Only genuinely long waits
-		// (a slow peer several steps behind) fall through to the park.
-		if !spun {
-			spun = true
-			runtime.Gosched()
-			continue
-		}
-		// Announce intent to park, then re-check: see parked's comment
-		// for why this cannot miss a message.
-		mb.parked.Store(1)
-		if m, ok := mb.match(src, tag); ok {
-			mb.parked.Store(0)
-			return m, waited, true
-		}
-		if mb.aborted.Load() {
-			mb.parked.Store(0)
-			return message{}, waited, false
-		}
-		<-mb.notify
-		mb.parked.Store(0)
-	}
-}
-
-// match performs one non-blocking matching pass in oldest-first order per
-// source: stash (earlier pops), then the source's ring, then the general
-// queue (spilled messages are always younger than that source's ring
-// residue, which match drains to the stash before looking there).
-func (mb *mailbox) match(src cube.NodeID, tag Tag) (message, bool) {
-	for i := range mb.stash {
-		if mb.stash[i].src == src && mb.stash[i].tag == tag {
-			m := mb.stash[i]
-			mb.stash = append(mb.stash[:i], mb.stash[i+1:]...)
-			return m, true
-		}
-	}
-	if mb.rings != nil {
-		if r := mb.rings[src].Load(); r != nil {
-			h, t := r.head.Load(), r.tail.Load()
-			for ; h != t; h++ {
-				m := r.slots[h&ringMask]
-				r.slots[h&ringMask] = message{}
-				r.head.Store(h + 1)
-				if m.tag == tag {
-					return m, true
-				}
-				// Out-of-order receive: park the older message in the
-				// stash and keep scanning.
-				mb.stash = append(mb.stash, m)
-			}
-		}
-	}
-	if mb.slow.Load() > 0 {
 		mb.mu.Lock()
+		if mb.aborted {
+			mb.mu.Unlock()
+			return message{}, waited, false
+		}
 		for i := range mb.q {
 			if mb.q[i].src == src && mb.q[i].tag == tag {
 				m := mb.q[i]
 				mb.q = append(mb.q[:i], mb.q[i+1:]...)
 				mb.mu.Unlock()
-				mb.slow.Add(-1)
-				return m, true
+				return m, waited, true
 			}
 		}
+		// Adaptive wait: yield once before parking. In the dominant
+		// exchange ping-pong the partner is already runnable and sends
+		// within one scheduling round, so the re-check after Gosched
+		// usually hits — skipping the park/wake round trip entirely.
+		// Only genuinely long waits (a slow peer several steps behind)
+		// fall through to the park.
+		mb.parked = spun
 		mb.mu.Unlock()
+		waited = true
+		if !spun {
+			spun = true
+			runtime.Gosched()
+			continue
+		}
+		<-mb.notify
 	}
-	return message{}, false
 }
 
-// reset clears every queue and the abort flag between runs, returning any
-// undelivered messages so the machine can recycle their payloads. Called
-// with no kernel goroutines live.
-func (mb *mailbox) reset() []message {
-	var left []message
-	if len(mb.stash) > 0 {
-		left = append(left, mb.stash...)
-		clear(mb.stash)
-		mb.stash = mb.stash[:0]
+// reset clears the queue and the abort flag between runs, handing any
+// undelivered payloads back to bufs. Called with no kernel goroutines
+// live.
+func (mb *mailbox) reset(bufs *keyPool) {
+	for _, msg := range mb.q {
+		bufs.put(msg.keys)
 	}
-	for _, r := range mb.ringList {
-		h, t := r.head.Load(), r.tail.Load()
-		for ; h != t; h++ {
-			left = append(left, r.slots[h&ringMask])
-			r.slots[h&ringMask] = message{}
-		}
-		r.head.Store(h)
-		r.spilled = false
-	}
-	if len(mb.q) > 0 {
-		left = append(left, mb.q...)
-		clear(mb.q)
-		mb.q = mb.q[:0]
-		mb.slow.Store(0)
-	}
-	mb.aborted.Store(false)
-	mb.parked.Store(0)
+	clear(mb.q)
+	mb.q = mb.q[:0]
+	mb.parked, mb.aborted = false, false
 	select {
 	case <-mb.notify: // drop a stale wakeup token
 	default:
 	}
-	return left
 }
 
 // pending returns the number of queued messages (diagnostics and the
-// sampled queue-depth metric). Safe to call from the consumer while
-// producers are active: ringList is read under slabMu because
-// producerRing appends to it concurrently on first use of a link.
+// sampled queue-depth metric).
 func (mb *mailbox) pending() int {
-	n := len(mb.stash)
-	mb.slabMu.Lock()
-	rings := mb.ringList
-	mb.slabMu.Unlock()
-	for _, r := range rings {
-		n += int(r.tail.Load() - r.head.Load())
-	}
 	mb.mu.Lock()
-	n += len(mb.q)
-	mb.mu.Unlock()
-	return n
+	defer mb.mu.Unlock()
+	return len(mb.q)
 }

@@ -15,9 +15,6 @@ import (
 type Proc struct {
 	m  *Machine
 	nd *node
-	// slot is the participant index within the run, which is also the
-	// processor's position in the barrier's combining tree.
-	slot int
 }
 
 // procFailure carries an abort through panic so kernel code can use the
@@ -247,7 +244,7 @@ func (p *Proc) Barrier() {
 	if s := p.m.inj.load(); s != nil {
 		p.checkInjections(s)
 	}
-	t, ok := p.m.bar.wait(p.slot, p.nd.clock)
+	t, ok := p.m.bar.wait(p.nd.clock)
 	if !ok {
 		p.fail(ErrAborted)
 	}

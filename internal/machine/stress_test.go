@@ -122,7 +122,7 @@ func TestHopsToAndSendOutsideCube(t *testing.T) {
 }
 
 func TestMailboxPending(t *testing.T) {
-	mb := newMailbox(4)
+	mb := newMailbox()
 	if mb.pending() != 0 {
 		t.Error("fresh mailbox not empty")
 	}
@@ -138,12 +138,11 @@ func TestMailboxPending(t *testing.T) {
 	}
 }
 
-// TestMailboxRingSpill drives one link far past the ring capacity so the
-// sticky spill path engages, then checks per-(src, tag) FIFO order and
-// stash-based out-of-order tag matching across the ring/general boundary.
-func TestMailboxRingSpill(t *testing.T) {
-	const msgs = 10 * ringSlots
-	mb := newMailbox(4)
+// TestMailboxFIFOAndOutOfOrderTags queues many messages on one link,
+// then checks per-(src, tag) FIFO order and out-of-order tag matching.
+func TestMailboxFIFOAndOutOfOrderTags(t *testing.T) {
+	const msgs = 40
+	mb := newMailbox()
 	for i := 0; i < msgs; i++ {
 		mb.put(message{src: 1, tag: 7, arrival: Time(i)})
 	}
@@ -158,8 +157,7 @@ func TestMailboxRingSpill(t *testing.T) {
 	}
 
 	// Distinct tags received in reverse order: every earlier message
-	// must survive the scan (via the stash) regardless of which segment
-	// (ring or spilled queue) it sits in.
+	// must survive the scan.
 	for i := 0; i < msgs; i++ {
 		mb.put(message{src: 1, tag: Tag(i), arrival: Time(i)})
 	}
