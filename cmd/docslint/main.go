@@ -12,7 +12,13 @@
 //     "Running the service" heading is actually declared;
 //   - every experiment ID (E1, E24, ranges like E3-E6) referenced in
 //     the repository docs resolves to a unique EXPERIMENTS.md heading,
-//     and every heading is cited from CHANGES.md or DESIGN.md.
+//     and every heading is cited from CHANGES.md or DESIGN.md;
+//   - every exported top-level function in internal/ has a caller:
+//     non-test code, or a test of another package (an oracle only its
+//     own package's tests use belongs in a _test.go file);
+//   - every backticked `pkg.Name` or `pkg.Type.Member` in DESIGN.md
+//     whose pkg is a package of this repository names a declaration in
+//     its non-test code.
 //
 // Usage:
 //
@@ -28,7 +34,6 @@ import (
 	"flag"
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
 	"io/fs"
 	"os"
@@ -59,6 +64,8 @@ func Lint(root string) []string {
 	findings = append(findings, LintMarkdownLinks(root)...)
 	findings = append(findings, LintServeFlags(root)...)
 	findings = append(findings, LintExperimentIDs(root)...)
+	findings = append(findings, LintDeadExports(root)...)
+	findings = append(findings, LintDesignIdents(root)...)
 	sort.Strings(findings)
 	return findings
 }
@@ -68,71 +75,45 @@ func Lint(root string) []string {
 // are skipped; test files are exempt (their exported helpers are
 // package-local test plumbing, not API).
 func LintGoDocs(root string) []string {
-	var findings []string
-	pkgs := map[string][]*goFile{} // directory -> parsed files
-	fset := token.NewFileSet()
-	_ = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+	files, findings := parseTree(root)
+	pkgs := map[string][]*srcFile{} // directory -> non-test files
+	for _, sf := range files {
+		if !sf.test {
+			pkgs[sf.dir] = append(pkgs[sf.dir], sf)
 		}
-		if d.IsDir() {
-			name := d.Name()
-			if name != "." && (strings.HasPrefix(name, ".") || name == "vendor" || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, perr := parser.ParseFile(fset, path, nil, parser.ParseComments)
-		if perr != nil {
-			findings = append(findings, fmt.Sprintf("%s: parse error: %v", rel(root, path), perr))
-			return nil
-		}
-		dir := filepath.Dir(path)
-		pkgs[dir] = append(pkgs[dir], &goFile{path: path, file: f})
-		return nil
-	})
-
+	}
 	for dir, files := range pkgs {
 		hasPkgDoc := false
-		for _, gf := range files {
-			if gf.file.Doc != nil && len(strings.TrimSpace(gf.file.Doc.Text())) > 0 {
+		for _, sf := range files {
+			if sf.file.Doc != nil && len(strings.TrimSpace(sf.file.Doc.Text())) > 0 {
 				hasPkgDoc = true
 			}
 		}
 		if !hasPkgDoc {
-			findings = append(findings, fmt.Sprintf("%s: package %s has no package comment", rel(root, dir), files[0].file.Name.Name))
+			findings = append(findings, fmt.Sprintf("%s: package %s has no package comment", dir, files[0].file.Name.Name))
 		}
-		for _, gf := range files {
-			findings = append(findings, lintFileDecls(root, fset, gf)...)
+		for _, sf := range files {
+			findings = append(findings, lintFileDecls(sf)...)
 		}
 	}
 	return findings
 }
 
-// goFile pairs a parsed file with its path for reporting.
-type goFile struct {
-	path string
-	file *ast.File
-}
-
 // lintFileDecls checks every exported top-level declaration in one file.
-func lintFileDecls(root string, fset *token.FileSet, gf *goFile) []string {
+func lintFileDecls(sf *srcFile) []string {
 	var findings []string
 	report := func(pos token.Pos, name, what string) {
-		p := fset.Position(pos)
-		findings = append(findings, fmt.Sprintf("%s:%d: exported %s %s %s", rel(root, gf.path), p.Line, what, name, "has no doc comment starting with its name"))
+		p := sf.fset.Position(pos)
+		findings = append(findings, fmt.Sprintf("%s:%d: exported %s %s %s", sf.path, p.Line, what, name, "has no doc comment starting with its name"))
 	}
-	for _, decl := range gf.file.Decls {
+	for _, decl := range sf.file.Decls {
 		switch d := decl.(type) {
 		case *ast.FuncDecl:
 			if !d.Name.IsExported() {
 				continue
 			}
 			// Methods on unexported receivers are not reachable API.
-			if d.Recv != nil && !exportedRecv(d.Recv) {
+			if d.Recv != nil && !ast.IsExported(recvName(d.Recv)) {
 				continue
 			}
 			what := "function"
@@ -143,7 +124,7 @@ func lintFileDecls(root string, fset *token.FileSet, gf *goFile) []string {
 				report(d.Pos(), d.Name.Name, what)
 			}
 		case *ast.GenDecl:
-			findings = append(findings, lintGenDecl(root, fset, gf, d)...)
+			findings = append(findings, lintGenDecl(sf, d)...)
 		}
 	}
 	return findings
@@ -152,15 +133,15 @@ func lintFileDecls(root string, fset *token.FileSet, gf *goFile) []string {
 // lintGenDecl checks one const/var/type block. A doc comment on the
 // block covers its members (the standard grouped-declaration idiom), so
 // per-spec comments are only demanded when the block itself is bare.
-func lintGenDecl(root string, fset *token.FileSet, gf *goFile, d *ast.GenDecl) []string {
+func lintGenDecl(sf *srcFile, d *ast.GenDecl) []string {
 	if d.Tok == token.IMPORT {
 		return nil
 	}
 	blockDoc := d.Doc != nil && len(strings.TrimSpace(d.Doc.Text())) > 0
 	var findings []string
 	report := func(pos token.Pos, name, what string) {
-		p := fset.Position(pos)
-		findings = append(findings, fmt.Sprintf("%s:%d: exported %s %s has no doc comment", rel(root, gf.path), p.Line, what, name))
+		p := sf.fset.Position(pos)
+		findings = append(findings, fmt.Sprintf("%s:%d: exported %s %s has no doc comment", sf.path, p.Line, what, name))
 	}
 	for _, spec := range d.Specs {
 		switch s := spec.(type) {
@@ -194,28 +175,6 @@ func lintGenDecl(root string, fset *token.FileSet, gf *goFile, d *ast.GenDecl) [
 		}
 	}
 	return findings
-}
-
-// exportedRecv reports whether a method receiver names an exported type.
-func exportedRecv(recv *ast.FieldList) bool {
-	if len(recv.List) == 0 {
-		return false
-	}
-	t := recv.List[0].Type
-	for {
-		switch tt := t.(type) {
-		case *ast.StarExpr:
-			t = tt.X
-		case *ast.IndexExpr: // generic receiver T[P]
-			t = tt.X
-		case *ast.IndexListExpr:
-			t = tt.X
-		case *ast.Ident:
-			return tt.IsExported()
-		default:
-			return false
-		}
-	}
 }
 
 // docStartsWith reports whether the comment group exists and its first

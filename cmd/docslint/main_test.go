@@ -254,3 +254,137 @@ func repoRoot(t *testing.T) string {
 	}
 	return root
 }
+
+// writeTree writes files (slash-separated relative path -> contents)
+// under dir.
+func writeTree(t *testing.T, dir string, files map[string]string) {
+	t.Helper()
+	for name, data := range files {
+		path := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestLintDeadExports proves the dead-surface check with a synthetic
+// module: an internal function with no caller, one only its own tests
+// call, and one that only calls itself are reported; functions called
+// from non-test code, from another package's test, or as a value in
+// their own package are not; methods are out of scope.
+func TestLintDeadExports(t *testing.T) {
+	dir := t.TempDir()
+	writeTree(t, dir, map[string]string{
+		"go.mod": "module example.com/m\n\ngo 1.22\n",
+		"internal/lib/lib.go": `package lib
+
+func Used() int { return Helper() }
+
+func Helper() int { return 1 }
+
+func Registered() {}
+
+var table = []func(){Registered}
+
+func CalledByOtherTest() {}
+
+func Dead() {}
+
+func OnlyOwnTest() {}
+
+func Recursive(n int) int {
+	if n == 0 {
+		return 0
+	}
+	return Recursive(n - 1)
+}
+
+type T struct{}
+
+func (T) UncalledMethod() {}
+`,
+		"internal/lib/lib_test.go": `package lib
+
+import "testing"
+
+func TestOwn(t *testing.T) { OnlyOwnTest() }
+`,
+		"cmd/tool/main.go": `package main
+
+import l "example.com/m/internal/lib"
+
+func main() { l.Used() }
+`,
+		"other/other_test.go": `package other
+
+import (
+	"testing"
+
+	"example.com/m/internal/lib"
+)
+
+func TestCross(t *testing.T) { lib.CalledByOtherTest() }
+`,
+	})
+	findings := LintDeadExports(dir)
+	wants := []string{
+		"internal/lib/lib.go:13: exported function Dead has no caller",
+		"internal/lib/lib.go:15: exported function OnlyOwnTest has no caller",
+		"internal/lib/lib.go:17: exported function Recursive has no caller",
+	}
+	for _, w := range wants {
+		if !anyContains(findings, w) {
+			t.Errorf("missing finding %q in %v", w, findings)
+		}
+	}
+	if len(findings) != len(wants) {
+		t.Errorf("got %d findings, want %d: %v", len(findings), len(wants), findings)
+	}
+	if extra := LintDeadExports(t.TempDir()); len(extra) != 0 {
+		t.Errorf("module-less root produced findings: %v", extra)
+	}
+}
+
+// TestLintDesignIdents proves the design-doc identifier check: repository
+// names resolve as functions, types, methods and fields; a stale name is
+// reported; standard-library packages, non-package prefixes and file
+// names are left alone.
+func TestLintDesignIdents(t *testing.T) {
+	dir := t.TempDir()
+	writeTree(t, dir, map[string]string{
+		"internal/lib/lib.go": `package lib
+
+type Ctx struct{ Chunk []int }
+
+func (c *Ctx) Merge() {}
+
+func New() *Ctx { return nil }
+
+const Limit = 3
+`,
+		"internal/lib/lib_test.go": `package lib
+
+func TestOnly() {}
+`,
+		"DESIGN.md": "Uses `lib.New`, `lib.Ctx`, `lib.Ctx.Merge()`, `lib.Ctx.Chunk`, `lib.Limit`.\n" +
+			"Stdlib `sync.Pool` and `errors.Is`, a field path `c.Chunk`, a file `lib.go`.\n" +
+			"Stale: `lib.Gone` and `lib.Ctx.Vanished`, and `lib.TestOnly` lives in a test.\n",
+	})
+	findings := LintDesignIdents(dir)
+	wants := []string{
+		"DESIGN.md:3: `lib.Gone` does not resolve",
+		"DESIGN.md:3: `lib.Ctx.Vanished` does not resolve",
+		"DESIGN.md:3: `lib.TestOnly` does not resolve",
+	}
+	for _, w := range wants {
+		if !anyContains(findings, w) {
+			t.Errorf("missing finding %q in %v", w, findings)
+		}
+	}
+	if len(findings) != len(wants) {
+		t.Errorf("got %d findings, want %d: %v", len(findings), len(wants), findings)
+	}
+}

@@ -1,11 +1,12 @@
-// Package hostio reads and writes key files so the CLI tools can sort
-// real data rather than only synthetic workloads. Two formats are
-// supported, chosen by file extension:
+package main
+
+// Key files let ftsort sort real data rather than only synthetic
+// workloads (-in, -out). Two formats are supported, chosen by file
+// extension:
 //
 //   - .txt (or anything else): one decimal integer per line; blank lines
 //     and lines starting with '#' are ignored.
 //   - .bin: little-endian int64, no header.
-package hostio
 
 import (
 	"bufio"
@@ -19,8 +20,8 @@ import (
 	"hypersort/internal/sortutil"
 )
 
-// ReadKeys loads keys from path, dispatching on the extension.
-func ReadKeys(path string) ([]sortutil.Key, error) {
+// readKeys loads keys from path, dispatching on the extension.
+func readKeys(path string) ([]sortutil.Key, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -32,8 +33,8 @@ func ReadKeys(path string) ([]sortutil.Key, error) {
 	return readText(f, path)
 }
 
-// WriteKeys stores keys to path, dispatching on the extension.
-func WriteKeys(path string, keys []sortutil.Key) error {
+// writeKeys stores keys to path, dispatching on the extension.
+func writeKeys(path string, keys []sortutil.Key) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -58,12 +59,12 @@ func readText(r io.Reader, path string) ([]sortutil.Key, error) {
 		}
 		v, err := strconv.ParseInt(line, 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("hostio: %s:%d: %v", path, lineNo, err)
+			return nil, fmt.Errorf("ftsort: %s:%d: %v", path, lineNo, err)
 		}
 		keys = append(keys, sortutil.Key(v))
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("hostio: reading %s: %w", path, err)
+		return nil, fmt.Errorf("ftsort: reading %s: %w", path, err)
 	}
 	return keys, nil
 }
@@ -88,7 +89,7 @@ func readBinary(r io.Reader) ([]sortutil.Key, error) {
 			return keys, nil
 		}
 		if err == io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("hostio: truncated binary key file (%d bytes past the last full key)", len(keys)*8)
+			return nil, fmt.Errorf("ftsort: truncated binary key file (%d bytes past the last full key)", len(keys)*8)
 		}
 		if err != nil {
 			return nil, err

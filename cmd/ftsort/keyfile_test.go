@@ -1,4 +1,4 @@
-package hostio
+package main
 
 import (
 	"os"
@@ -16,10 +16,10 @@ func TestTextRoundTrip(t *testing.T) {
 	path := filepath.Join(dir, "keys.txt")
 	keys := workload.MustGenerate(workload.Uniform, 500, xrand.New(1))
 	keys = append(keys, -42, 0) // negatives and zero
-	if err := WriteKeys(path, keys); err != nil {
+	if err := writeKeys(path, keys); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadKeys(path)
+	got, err := readKeys(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,10 +37,10 @@ func TestBinaryRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "keys.bin")
 	keys := workload.MustGenerate(workload.Gaussian, 700, xrand.New(2))
-	if err := WriteKeys(path, keys); err != nil {
+	if err := writeKeys(path, keys); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadKeys(path)
+	got, err := readKeys(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestTextCommentsAndBlanks(t *testing.T) {
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadKeys(path)
+	got, err := readKeys(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestTextBadLine(t *testing.T) {
 	if err := os.WriteFile(path, []byte("1\nbanana\n3\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := ReadKeys(path)
+	_, err := readKeys(path)
 	if err == nil || !strings.Contains(err.Error(), ":2:") {
 		t.Errorf("want line-numbered error, got %v", err)
 	}
@@ -94,13 +94,13 @@ func TestBinaryTruncated(t *testing.T) {
 	if err := os.WriteFile(path, []byte{1, 2, 3, 4, 5}, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadKeys(path); err == nil {
+	if _, err := readKeys(path); err == nil {
 		t.Error("truncated binary accepted")
 	}
 }
 
 func TestReadMissingFile(t *testing.T) {
-	if _, err := ReadKeys(filepath.Join(t.TempDir(), "nope.txt")); err == nil {
+	if _, err := readKeys(filepath.Join(t.TempDir(), "nope.txt")); err == nil {
 		t.Error("missing file accepted")
 	}
 }
@@ -112,7 +112,7 @@ func TestEmptyFiles(t *testing.T) {
 		if err := os.WriteFile(path, nil, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadKeys(path)
+		got, err := readKeys(path)
 		if err != nil || len(got) != 0 {
 			t.Errorf("%s: got %v, %v", name, got, err)
 		}

@@ -22,7 +22,6 @@ import (
 	"hypersort/internal/cli"
 	"hypersort/internal/core"
 	"hypersort/internal/cube"
-	"hypersort/internal/hostio"
 	"hypersort/internal/machine"
 	"hypersort/internal/partition"
 	"hypersort/internal/trace"
@@ -104,7 +103,7 @@ func main() {
 
 	var keys []hypersort.Key
 	if *inFile != "" {
-		keys, err = hostio.ReadKeys(*inFile)
+		keys, err = readKeys(*inFile)
 		if err != nil {
 			fatal(err)
 		}
@@ -152,7 +151,7 @@ func main() {
 	fmt.Printf("sorted %d keys: time=%d messages=%d key-hops=%d comparisons=%d\n",
 		len(sorted), stats.Makespan, stats.Messages, stats.KeyHops, stats.Comparisons)
 	if *outFile != "" {
-		if err := hostio.WriteKeys(*outFile, sorted); err != nil {
+		if err := writeKeys(*outFile, sorted); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote %s\n", *outFile)

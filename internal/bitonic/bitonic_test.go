@@ -22,8 +22,18 @@ func TestFullCubeViewMapping(t *testing.T) {
 	}
 }
 
+// singleFaultView builds the §2.1 view of a whole n-cube with one faulty
+// processor: addresses are reindexed by XOR with the fault so it sits at
+// logical 0, and logical 0 is marked dead.
+func singleFaultView(n int, fault cube.NodeID) View {
+	v := FullCube(n)
+	v.Pivot = fault
+	v.Dead = true
+	return v
+}
+
 func TestSingleFaultViewMapping(t *testing.T) {
-	v := SingleFaultView(4, 0b1010)
+	v := singleFaultView(4, 0b1010)
 	if !v.Dead || v.LiveCount() != 15 {
 		t.Fatal("dead flag or live count wrong")
 	}
@@ -87,7 +97,7 @@ func TestViewValidate(t *testing.T) {
 }
 
 func TestLiveLogicalsSkipsDead(t *testing.T) {
-	v := SingleFaultView(2, 3)
+	v := singleFaultView(2, 3)
 	logicals := v.LiveLogicals()
 	if len(logicals) != 3 || logicals[0] != 1 {
 		t.Errorf("live logicals = %v", logicals)
@@ -148,7 +158,7 @@ func TestSingleFaultSortEveryFaultLocation(t *testing.T) {
 		for f := cube.NodeID(0); f < cube.NodeID(1<<n); f++ {
 			m := machine.MustNew(machine.Config{Dim: n, Faults: cube.NewNodeSet(f)})
 			keys := workload.MustGenerate(workload.Uniform, 6*(1<<n)-3, r)
-			v := SingleFaultView(n, f)
+			v := singleFaultView(n, f)
 			sortAndCheck(t, m, v, keys, sortutil.Ascending)
 			sortAndCheck(t, m, v, keys, sortutil.Descending)
 		}
@@ -161,7 +171,7 @@ func TestSingleFaultSortTotalModel(t *testing.T) {
 	r := xrand.New(5)
 	keys := workload.MustGenerate(workload.Uniform, 200, r)
 	f := cube.NodeID(5)
-	v := SingleFaultView(4, f)
+	v := singleFaultView(4, f)
 	mPartial := machine.MustNew(machine.Config{Dim: 4, Faults: cube.NewNodeSet(f), Model: machine.Partial})
 	mTotal := machine.MustNew(machine.Config{Dim: 4, Faults: cube.NewNodeSet(f), Model: machine.Total})
 	resP := sortAndCheck(t, mPartial, v, keys, sortutil.Ascending)
@@ -250,7 +260,7 @@ func TestDegenerateViews(t *testing.T) {
 	sortAndCheck(t, m, v0, keys, sortutil.Ascending)
 
 	m1 := machine.MustNew(machine.Config{Dim: 1, Faults: cube.NewNodeSet(1)})
-	v1 := SingleFaultView(1, 1)
+	v1 := singleFaultView(1, 1)
 	sortAndCheck(t, m1, v1, keys, sortutil.Ascending)
 }
 

@@ -40,7 +40,7 @@ func TestHostSortConformance(t *testing.T) {
 				m := machine.MustNew(machine.Config{Dim: tc.dim, Faults: cube.NewNodeSet(tc.faults...)})
 				v := FullCube(tc.dim)
 				if len(tc.faults) > 0 {
-					v = SingleFaultView(tc.dim, tc.faults[0])
+					v = singleFaultView(tc.dim, tc.faults[0])
 				}
 				out, res, err := Sort(m, v, keys, sortutil.Ascending)
 				if err != nil {

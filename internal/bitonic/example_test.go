@@ -15,7 +15,8 @@ import (
 func Example() {
 	fault := cube.NodeID(5)
 	m := machine.MustNew(machine.Config{Dim: 3, Faults: cube.NewNodeSet(fault)})
-	view := bitonic.SingleFaultView(3, fault)
+	view := bitonic.FullCube(3)
+	view.Pivot, view.Dead = fault, true
 	keys := []sortutil.Key{9, 2, 7, 4, 8, 1, 6, 3, 5}
 	sorted, _, err := bitonic.Sort(m, view, keys, sortutil.Ascending)
 	if err != nil {

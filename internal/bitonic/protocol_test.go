@@ -137,7 +137,7 @@ func TestHalfExchangeSortCorrectness(t *testing.T) {
 		}
 		for f := cube.NodeID(0); f < cube.NodeID(1<<n); f += 3 {
 			mf := machine.MustNew(machine.Config{Dim: n, Faults: cube.NewNodeSet(f)})
-			got, _, err := SortProto(mf, SingleFaultView(n, f), keys, sortutil.Ascending, HalfExchange)
+			got, _, err := SortProto(mf, singleFaultView(n, f), keys, sortutil.Ascending, HalfExchange)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -89,16 +89,6 @@ func stripDummies(xs []sortutil.Key, dir sortutil.Direction) []sortutil.Key {
 	return xs[i:]
 }
 
-// SingleFaultView builds the §2.1 view of a whole n-cube with one faulty
-// processor: addresses are reindexed by XOR with the fault so it sits at
-// logical 0, and logical 0 is marked dead.
-func SingleFaultView(n int, fault cube.NodeID) View {
-	v := FullCube(n)
-	v.Pivot = fault
-	v.Dead = true
-	return v
-}
-
 // SubcubeView builds the view of one subcube of a split (the paper's
 // F_n^m component): sc identifies the subcube's fixed coordinates, and
 // deadW, if non-nil, is the physical local address (in the subcube's free

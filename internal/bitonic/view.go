@@ -284,32 +284,6 @@ func (c *Ctx) compareExchange(peer cube.NodeID, keepLow bool) {
 	c.P.Compute(len(c.Chunk))
 }
 
-// BitonicMergeView runs only the final merge stage of the bitonic network
-// (s compare-exchange steps along logical dimensions s-1 down to 0),
-// sorting the view's block into direction dir. It is correct when the
-// distributed block is bitonic across logical addresses AND the view has
-// no dead processor: a dead logical 0 behaves as the extreme sentinel of
-// dir, and a bitonic profile's extreme end does not in general sit at
-// logical 0, so the single merge pass cannot be used in the
-// fault-tolerant sort's Step 8 (the full MergeView can, because a full
-// sort needs no precondition). It remains the cheap re-merge for
-// fault-free views.
-func (c *Ctx) BitonicMergeView(v View, dir sortutil.Direction) {
-	t := c.Logical
-	for j := v.S() - 1; j >= 0; j-- {
-		peerLogical := cube.FlipBit(t, j)
-		if v.Dead && (t == 0 || peerLogical == 0) {
-			c.SkipStep()
-			continue
-		}
-		keepLow := cube.Bit(t, j) == 0
-		if dir == sortutil.Descending {
-			keepLow = !keepLow
-		}
-		c.compareExchange(v.PeerPhys(c.P.ID(), j), keepLow)
-	}
-}
-
 // ExchangeSplit performs one compare-split with the processor at physical
 // address peer, reserving a tag. It is the building block of the paper's
 // Step 7 cross-subcube stage: the core algorithm pairs corresponding

@@ -288,7 +288,7 @@ func (c *Cluster) QueueWaitHint() int64 {
 }
 
 // hashConfig fingerprints cfg into the scratch buffer and hashes it.
-// The fingerprint is partition.AppendKey's canonical encoding — the
+// The fingerprint is partition.AppendKeyRouting's canonical encoding — the
 // same bytes the shard engines intern as their plan-cache keys — so
 // "same plan key" and "same shard" coincide by construction.
 func hashConfig(sc *routeScratch, cfg engine.Config) uint64 {

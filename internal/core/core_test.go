@@ -319,31 +319,3 @@ func TestCeilHelpers(t *testing.T) {
 		}
 	}
 }
-
-func TestCostEstimateCongestion(t *testing.T) {
-	c := machine.PaperCostModel()
-	base, err := CostEstimate(4000, 5, 1, true, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Zero extra-communication charge is exactly the legacy closed form.
-	same, err := CostEstimateCongestion(4000, 5, 1, true, c, 0)
-	if err != nil || same != base {
-		t.Fatalf("zero-charge estimate = %d, want %d (%v)", same, base, err)
-	}
-	// Each objective unit charges one k-key transfer: k = ceil(4000/30).
-	withCharge, err := CostEstimateCongestion(4000, 5, 1, true, c, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := int64((4000 + 29) / 30)
-	if want := base + machine.Time(3*k*int64(c.Elem)); withCharge != want {
-		t.Fatalf("charged estimate = %d, want %d", withCharge, want)
-	}
-	if _, err := CostEstimateCongestion(4000, 5, 1, true, c, -1); err == nil {
-		t.Error("negative charge accepted")
-	}
-	if _, err := CostEstimateCongestion(100, -1, 0, false, c, 1); err == nil {
-		t.Error("invalid dimensions accepted")
-	}
-}

@@ -59,31 +59,6 @@ func CostEstimate(mKeys, n, mcut int, dead bool, c machine.CostModel) (machine.T
 	return machine.Time(total), nil
 }
 
-// CostEstimateCongestion is CostEstimate plus the congestion-aware
-// extra-communication charge: extraComm is the partition heuristic's
-// objective value for the chosen cutting sequence (hop count plus
-// modeled link wait under partition.ObjectiveCongestion, in
-// hop-equivalent units), and each unit costs one k-key transfer across
-// one link (k * t_s/r) — exactly the rate at which formula (1)'s extra
-// hops price reindexed cross-subcube exchanges. With extraComm = 0 the
-// result equals CostEstimate, so the legacy closed form is the zero
-// point of the congestion-aware one.
-func CostEstimateCongestion(mKeys, n, mcut int, dead bool, c machine.CostModel, extraComm int) (machine.Time, error) {
-	if extraComm < 0 {
-		return 0, fmt.Errorf("core: negative extra-communication charge %d", extraComm)
-	}
-	base, err := CostEstimate(mKeys, n, mcut, dead, c)
-	if err != nil {
-		return 0, err
-	}
-	nWork := int64(1)<<n - boolInt(dead)<<mcut
-	k := ceilDiv(int64(mKeys), nWork)
-	if k == 0 {
-		k = 1
-	}
-	return base + machine.Time(int64(extraComm)*k*int64(c.Elem)), nil
-}
-
 func boolInt(b bool) int64 {
 	if b {
 		return 1

@@ -1,8 +1,7 @@
 // Package cube implements the address algebra of binary n-dimensional
 // hypercubes (binary n-cubes): node addresses, neighbor relations, Hamming
-// distance, subcube (mask/value) arithmetic, partitioning a cube along an
-// ordered sequence of cutting dimensions, and the XOR reindexing used to
-// relocate a faulty processor to local address zero.
+// distance, subcube (mask/value) arithmetic, and partitioning a cube along
+// an ordered sequence of cutting dimensions.
 //
 // Throughout the package a hypercube Q_n has N = 2^n processors addressed
 // 0..N-1. Bit d of an address is the coordinate along dimension d; two
@@ -61,25 +60,8 @@ func (h Hypercube) Neighbor(id NodeID, d int) NodeID {
 	return id ^ (1 << d)
 }
 
-// Neighbors returns all n neighbors of id, in ascending dimension order.
-func (h Hypercube) Neighbors(id NodeID) []NodeID {
-	out := make([]NodeID, h.n)
-	for d := 0; d < h.n; d++ {
-		out[d] = id ^ (1 << d)
-	}
-	return out
-}
-
 // Bit returns bit d (coordinate u_d) of id as 0 or 1.
 func Bit(id NodeID, d int) int { return int(id>>uint(d)) & 1 }
-
-// SetBit returns id with bit d forced to v (0 or 1).
-func SetBit(id NodeID, d, v int) NodeID {
-	if v == 0 {
-		return id &^ (1 << d)
-	}
-	return id | (1 << d)
-}
 
 // FlipBit returns id with bit d inverted.
 func FlipBit(id NodeID, d int) NodeID { return id ^ (1 << d) }
@@ -88,9 +70,6 @@ func FlipBit(id NodeID, d int) NodeID { return id ^ (1 << d) }
 // differ; on a hypercube this is the length of a shortest path between
 // them (the paper's HD function).
 func HammingDistance(a, b NodeID) int { return bits.OnesCount32(uint32(a ^ b)) }
-
-// Weight returns the Hamming weight (popcount) of id.
-func Weight(id NodeID) int { return bits.OnesCount32(uint32(id)) }
 
 // DifferingDims returns the dimensions in which a and b differ, ascending.
 // It is the support of a XOR b and has length HammingDistance(a, b).
@@ -103,27 +82,6 @@ func DifferingDims(a, b NodeID) []int {
 		x &= x - 1
 	}
 	return out
-}
-
-// Reindex applies the paper's logical reindexing: the bit-wise XOR of an
-// address with a pivot. Reindex(pivot, pivot) == 0, so choosing the faulty
-// processor as the pivot moves it to logical address 0 while preserving
-// the hypercube adjacency (XOR by a constant is a graph automorphism).
-// Reindex is an involution: Reindex(pivot, Reindex(pivot, id)) == id.
-func Reindex(pivot, id NodeID) NodeID { return pivot ^ id }
-
-// GrayCode returns the i-th codeword of the binary reflected Gray code.
-// Successive codewords differ in exactly one bit, so walking i = 0..N-1
-// visits every node of Q_n along a Hamiltonian path.
-func GrayCode(i int) NodeID { return NodeID(i ^ (i >> 1)) }
-
-// GrayRank is the inverse of GrayCode: GrayRank(GrayCode(i)) == i.
-func GrayRank(g NodeID) int {
-	r := uint32(g)
-	for shift := uint(1); shift < 32; shift <<= 1 {
-		r ^= r >> shift
-	}
-	return int(r)
 }
 
 // NodeSet is a set of processor addresses, used for fault sets. The zero
@@ -262,24 +220,4 @@ func FormatAddr(id NodeID, n int) string {
 		}
 	}
 	return string(b)
-}
-
-// ParseAddr parses an n-bit binary string written most significant
-// dimension first (the inverse of FormatAddr).
-func ParseAddr(s string) (NodeID, error) {
-	if len(s) == 0 || len(s) > MaxDim {
-		return 0, fmt.Errorf("cube: address %q must have between 1 and %d bits", s, MaxDim)
-	}
-	var id NodeID
-	for _, c := range s {
-		switch c {
-		case '0':
-			id <<= 1
-		case '1':
-			id = id<<1 | 1
-		default:
-			return 0, fmt.Errorf("cube: address %q contains non-binary digit %q", s, c)
-		}
-	}
-	return id, nil
 }

@@ -64,8 +64,8 @@ func TestNeighborPanics(t *testing.T) {
 func TestNeighborsAreAtDistanceOne(t *testing.T) {
 	h := New(6)
 	for id := NodeID(0); id < NodeID(h.Size()); id += 7 {
-		for _, nb := range h.Neighbors(id) {
-			if HammingDistance(id, nb) != 1 {
+		for d := 0; d < h.Dim(); d++ {
+			if nb := h.Neighbor(id, d); HammingDistance(id, nb) != 1 {
 				t.Fatalf("neighbor %d of %d at distance %d", nb, id, HammingDistance(id, nb))
 			}
 		}
@@ -88,12 +88,6 @@ func TestBitSetFlip(t *testing.T) {
 	id := NodeID(0b1010)
 	if Bit(id, 1) != 1 || Bit(id, 0) != 0 {
 		t.Error("Bit extraction wrong")
-	}
-	if SetBit(id, 0, 1) != 0b1011 {
-		t.Error("SetBit to 1 wrong")
-	}
-	if SetBit(id, 1, 0) != 0b1000 {
-		t.Error("SetBit to 0 wrong")
 	}
 	if FlipBit(id, 3) != 0b0010 {
 		t.Error("FlipBit wrong")
@@ -136,41 +130,6 @@ func TestDifferingDims(t *testing.T) {
 	}
 }
 
-func TestReindexProperties(t *testing.T) {
-	// Reindex moves the pivot to zero, is an involution, and preserves
-	// adjacency (it is a hypercube automorphism).
-	f := func(p, a, b uint32) bool {
-		pivot, x, y := NodeID(p), NodeID(a), NodeID(b)
-		if Reindex(pivot, pivot) != 0 {
-			return false
-		}
-		if Reindex(pivot, Reindex(pivot, x)) != x {
-			return false
-		}
-		return HammingDistance(x, y) == HammingDistance(Reindex(pivot, x), Reindex(pivot, y))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestGrayCodeAdjacent(t *testing.T) {
-	for i := 0; i < 1<<10-1; i++ {
-		if HammingDistance(GrayCode(i), GrayCode(i+1)) != 1 {
-			t.Fatalf("Gray codewords %d and %d not adjacent", i, i+1)
-		}
-	}
-}
-
-func TestGrayRankInverse(t *testing.T) {
-	f := func(i uint16) bool {
-		return GrayRank(GrayCode(int(i))) == int(i)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestNodeSet(t *testing.T) {
 	s := NewNodeSet(5, 3, 5, 9)
 	if len(s) != 3 {
@@ -194,23 +153,18 @@ func TestFormatParseAddr(t *testing.T) {
 	if got := FormatAddr(0b00011, 5); got != "00011" {
 		t.Errorf("FormatAddr = %q", got)
 	}
-	id, err := ParseAddr("11000")
-	if err != nil || id != 24 {
-		t.Errorf("ParseAddr(11000) = %d, %v", id, err)
-	}
-	if _, err := ParseAddr("1012"); err == nil {
-		t.Error("ParseAddr accepted invalid digit")
-	}
-	if _, err := ParseAddr(""); err == nil {
-		t.Error("ParseAddr accepted empty string")
+	// An address parses back as the 0-dimensional subcube it names.
+	sc, err := ParseSubcube(FormatAddr(24, 5))
+	if err != nil || sc.Mask != 0b11111 || sc.Value != 24 {
+		t.Errorf("ParseSubcube(FormatAddr(24, 5)) = %+v, %v", sc, err)
 	}
 }
 
 func TestFormatParseRoundTrip(t *testing.T) {
 	f := func(raw uint32) bool {
 		id := NodeID(raw) & 0xFFFFF // 20 bits
-		got, err := ParseAddr(FormatAddr(id, 20))
-		return err == nil && got == id
+		got, err := ParseSubcube(FormatAddr(id, 20))
+		return err == nil && got.Mask == 0xFFFFF && got.Value == id
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

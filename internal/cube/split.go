@@ -2,7 +2,6 @@ package cube
 
 import (
 	"fmt"
-	"sort"
 )
 
 // CutSequence is an ordered list of cutting dimensions D = (d_1, ..., d_m).
@@ -108,10 +107,6 @@ func MustSplit(h Hypercube, d CutSequence) *Split {
 // Cube returns the underlying hypercube Q_n.
 func (sp *Split) Cube() Hypercube { return sp.h }
 
-// Cuts returns the cutting sequence D (not a copy; callers must not
-// modify it).
-func (sp *Split) Cuts() CutSequence { return sp.cuts }
-
 // M returns m, the number of cutting dimensions (subcube-index width).
 func (sp *Split) M() int { return len(sp.cuts) }
 
@@ -120,9 +115,6 @@ func (sp *Split) S() int { return len(sp.rest) }
 
 // NumSubcubes returns 2^m.
 func (sp *Split) NumSubcubes() int { return 1 << len(sp.cuts) }
-
-// SubcubeSize returns 2^s, the number of processors per subcube.
-func (sp *Split) SubcubeSize() int { return 1 << len(sp.rest) }
 
 // V extracts the m-bit subcube index of address u: bit i of the result is
 // the coordinate of u along cutting dimension d_{i+1}.
@@ -178,20 +170,6 @@ func (sp *Split) SubcubeOf(v NodeID) Subcube {
 	return Subcube{Mask: sp.cutMask, Value: val}
 }
 
-// GroupFaults buckets a fault set by subcube index, returning for each of
-// the 2^m subcubes the local (w-space) addresses of its faults, sorted.
-func (sp *Split) GroupFaults(faults NodeSet) [][]NodeID {
-	out := make([][]NodeID, sp.NumSubcubes())
-	for f := range faults {
-		v := sp.V(f)
-		out[v] = append(out[v], sp.W(f))
-	}
-	for _, g := range out {
-		sort.Slice(g, func(i, j int) bool { return g[i] < g[j] })
-	}
-	return out
-}
-
 // IsSingleFault reports whether the split leaves at most one fault per
 // subcube, i.e. whether D constructs a single-fault subcube structure
 // F_n^m for this fault set.
@@ -210,11 +188,3 @@ func (sp *Split) IsSingleFault(faults NodeSet) bool {
 // NeighborSubcube returns the subcube index adjacent to v along subcube
 // dimension i (i.e. across original dimension d_{i+1}).
 func (sp *Split) NeighborSubcube(v NodeID, i int) NodeID { return v ^ (1 << i) }
-
-// LocalNeighborDim maps local (w-space) dimension j back to the original
-// Q_n dimension it lives on.
-func (sp *Split) LocalNeighborDim(j int) int { return sp.rest[j] }
-
-// CutDim maps subcube (v-space) dimension i back to the original Q_n
-// dimension d_{i+1} it lives on.
-func (sp *Split) CutDim(i int) int { return sp.cuts[i] }

@@ -139,16 +139,13 @@ func TestGroupFaultsAndIsSingleFault(t *testing.T) {
 	if !sp.IsSingleFault(faults) {
 		t.Fatal("paper Example 1 split should be single-fault")
 	}
-	groups := sp.GroupFaults(faults)
-	if len(groups) != 8 {
-		t.Fatalf("got %d groups", len(groups))
+	// Fault 00011 sits in subcube 011 at local address 00, fault 10000
+	// in subcube 000 at local address 10.
+	if v, w := sp.V(0b00011), sp.W(0b00011); v != 0b011 || w != 0b00 {
+		t.Errorf("fault 00011 -> v=%03b w=%02b", v, w)
 	}
-	// Subcube 011 holds fault with local address 00, subcube 000 holds 10.
-	if len(groups[0b011]) != 1 || groups[0b011][0] != 0b00 {
-		t.Errorf("group 011 = %v", groups[0b011])
-	}
-	if len(groups[0b000]) != 1 || groups[0b000][0] != 0b10 {
-		t.Errorf("group 000 = %v", groups[0b000])
+	if v, w := sp.V(0b10000), sp.W(0b10000); v != 0b000 || w != 0b10 {
+		t.Errorf("fault 10000 -> v=%03b w=%02b", v, w)
 	}
 	// Two faults in the same subcube break the property.
 	bad := NewNodeSet(0, 0b00100) // both have v = 000 under D = (0,1,3)
@@ -163,11 +160,17 @@ func TestNeighborSubcubeAndDimMaps(t *testing.T) {
 	if nb := sp.NeighborSubcube(0b011, 1); nb != 0b001 {
 		t.Errorf("NeighborSubcube(011, 1) = %03b", nb)
 	}
-	if sp.CutDim(0) != 0 || sp.CutDim(1) != 1 || sp.CutDim(2) != 3 {
-		t.Error("CutDim mapping wrong")
+	// Subcube dimension i lives on d_{i+1}; local dimension j on the
+	// j-th non-cut dimension.
+	for i, d := range []int{0, 1, 3} {
+		if got := sp.Compose(1<<i, 0); got != 1<<d {
+			t.Errorf("subcube dim %d maps to %05b, want dim %d", i, got, d)
+		}
 	}
-	if sp.LocalNeighborDim(0) != 2 || sp.LocalNeighborDim(1) != 4 {
-		t.Error("LocalNeighborDim mapping wrong")
+	for j, d := range []int{2, 4} {
+		if got := sp.Compose(0, 1<<j); got != 1<<d {
+			t.Errorf("local dim %d maps to %05b, want dim %d", j, got, d)
+		}
 	}
 }
 
@@ -194,15 +197,15 @@ func TestCutSequenceHelpers(t *testing.T) {
 func TestSplitSubcubesPartitionCube(t *testing.T) {
 	h := New(6)
 	sp := MustSplit(h, CutSequence{2, 5, 0})
-	covered := make([]int, h.Size())
-	for v := NodeID(0); v < NodeID(sp.NumSubcubes()); v++ {
-		for _, id := range sp.SubcubeOf(v).Nodes(h) {
-			covered[id]++
+	for id := NodeID(0); id < NodeID(h.Size()); id++ {
+		covered := 0
+		for v := NodeID(0); v < NodeID(sp.NumSubcubes()); v++ {
+			if sp.SubcubeOf(v).Contains(id) {
+				covered++
+			}
 		}
-	}
-	for id, c := range covered {
-		if c != 1 {
-			t.Fatalf("node %d covered %d times", id, c)
+		if covered != 1 {
+			t.Fatalf("node %d covered %d times", id, covered)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package cube
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"strings"
 )
 
@@ -21,19 +20,6 @@ type Subcube struct {
 
 // WholeCube returns the subcube covering all of Q_n.
 func WholeCube() Subcube { return Subcube{} }
-
-// SingleNode returns the 0-dimensional subcube holding exactly id in Q_n.
-func SingleNode(h Hypercube, id NodeID) Subcube {
-	all := NodeID(1<<h.n) - 1
-	return Subcube{Mask: all, Value: id & all}
-}
-
-// Normalize clears any value bits outside the mask, returning the
-// canonical representation.
-func (s Subcube) Normalize() Subcube {
-	s.Value &= s.Mask
-	return s
-}
 
 // Dim returns the dimension of the subcube within Q_n: the number of free
 // dimensions, n minus the number of fixed ones.
@@ -56,49 +42,6 @@ func (s Subcube) FreeDims(h Hypercube) []int {
 		}
 	}
 	return out
-}
-
-// FixedDims returns the fixed dimensions of the subcube, ascending.
-func (s Subcube) FixedDims(h Hypercube) []int {
-	out := make([]int, 0, h.n-s.Dim(h))
-	for d := 0; d < h.n; d++ {
-		if s.Mask&(1<<d) != 0 {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// Nodes enumerates every processor of the subcube in ascending address
-// order within Q_n.
-func (s Subcube) Nodes(h Hypercube) []NodeID {
-	free := s.FreeDims(h)
-	out := make([]NodeID, 0, 1<<len(free))
-	for i := 0; i < 1<<len(free); i++ {
-		id := s.Value & s.Mask
-		for j, d := range free {
-			if i>>uint(j)&1 == 1 {
-				id |= 1 << d
-			}
-		}
-		out = append(out, id)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
-}
-
-// SplitAlong cuts the subcube along dimension d, returning the half with
-// u_d = 0 first and the half with u_d = 1 second. It panics if d is
-// already fixed: re-cutting a fixed dimension is a logic error in the
-// partition search.
-func (s Subcube) SplitAlong(d int) (zero, one Subcube) {
-	bit := NodeID(1) << d
-	if s.Mask&bit != 0 {
-		panic(fmt.Sprintf("cube: dimension %d already fixed in subcube %+v", d, s))
-	}
-	zero = Subcube{Mask: s.Mask | bit, Value: s.Value &^ bit}
-	one = Subcube{Mask: s.Mask | bit, Value: s.Value | bit}
-	return zero, one
 }
 
 // String renders the subcube in *-notation for an n-bit cube; since the

@@ -45,68 +45,23 @@ func TestSubcubeContains(t *testing.T) {
 	}
 }
 
-func TestSubcubeNodes(t *testing.T) {
-	h := New(5)
-	sc, _ := ParseSubcube("1*0*1")
-	nodes := sc.Nodes(h)
-	want := []NodeID{0b10001, 0b10011, 0b11001, 0b11011}
-	if len(nodes) != len(want) {
-		t.Fatalf("Nodes = %v", nodes)
-	}
-	for i := range want {
-		if nodes[i] != want[i] {
-			t.Fatalf("Nodes = %v, want %v", nodes, want)
-		}
-	}
-}
-
 func TestWholeCubeAndSingleNode(t *testing.T) {
 	h := New(4)
 	if got := WholeCube().Size(h); got != 16 {
 		t.Errorf("WholeCube size = %d", got)
 	}
-	sn := SingleNode(h, 9)
+	sn := Subcube{Mask: 0b1111, Value: 9}
 	if sn.Size(h) != 1 || !sn.Contains(9) || sn.Contains(8) {
-		t.Errorf("SingleNode wrong: %+v", sn)
+		t.Errorf("single-node subcube wrong: %+v", sn)
 	}
-}
-
-func TestSplitAlong(t *testing.T) {
-	h := New(4)
-	zero, one := WholeCube().SplitAlong(2)
-	if zero.Dim(h) != 3 || one.Dim(h) != 3 {
-		t.Fatal("halves have wrong dimension")
-	}
-	for id := NodeID(0); id < 16; id++ {
-		inZero, inOne := zero.Contains(id), one.Contains(id)
-		if inZero == inOne {
-			t.Fatalf("node %d in both or neither half", id)
-		}
-		if inOne != (Bit(id, 2) == 1) {
-			t.Fatalf("node %d placed on wrong side", id)
-		}
-	}
-}
-
-func TestSplitAlongPanicsOnFixedDim(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("SplitAlong on fixed dim did not panic")
-		}
-	}()
-	zero, _ := WholeCube().SplitAlong(1)
-	zero.SplitAlong(1)
 }
 
 func TestFreeAndFixedDims(t *testing.T) {
 	h := New(5)
 	sc, _ := ParseSubcube("1*0*1")
-	free, fixed := sc.FreeDims(h), sc.FixedDims(h)
+	free := sc.FreeDims(h)
 	if len(free) != 2 || free[0] != 1 || free[1] != 3 {
 		t.Errorf("FreeDims = %v", free)
-	}
-	if len(fixed) != 3 || fixed[0] != 0 || fixed[1] != 2 || fixed[2] != 4 {
-		t.Errorf("FixedDims = %v", fixed)
 	}
 }
 
@@ -131,8 +86,10 @@ func TestEnumerateSubcubesPartitionProperty(t *testing.T) {
 	for k := 0; k <= 5; k++ {
 		counts := make(map[NodeID]int)
 		for _, sc := range EnumerateSubcubes(h, k) {
-			for _, id := range sc.Nodes(h) {
-				counts[id]++
+			for id := NodeID(0); id < 32; id++ {
+				if sc.Contains(id) {
+					counts[id]++
+				}
 			}
 		}
 		want := len(Combinations(5, k))
@@ -160,13 +117,6 @@ func TestCombinations(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	s := Subcube{Mask: 0b0101, Value: 0b1111}.Normalize()
-	if s.Value != 0b0101 {
-		t.Errorf("Normalize value = %04b", s.Value)
-	}
-}
-
 func TestSubcubeStringDefault(t *testing.T) {
 	sc, _ := ParseSubcube("1*0")
 	if got := sc.String(); got == "" {
@@ -177,7 +127,7 @@ func TestSubcubeStringDefault(t *testing.T) {
 func TestSubcubeRoundTripQuick(t *testing.T) {
 	h := New(8)
 	f := func(mask, val uint32) bool {
-		sc := Subcube{Mask: NodeID(mask) & 0xFF, Value: NodeID(val) & 0xFF}.Normalize()
+		sc := Subcube{Mask: NodeID(mask) & 0xFF, Value: NodeID(val&mask) & 0xFF}
 		back, err := ParseSubcube(sc.Format(h))
 		return err == nil && back == sc
 	}

@@ -468,41 +468,3 @@ func TestDefaults(t *testing.T) {
 		t.Errorf("Table2 defaults = %+v", t2)
 	}
 }
-
-func TestMultipathExperiment(t *testing.T) {
-	cfg := MultipathConfig{Ns: []int{4, 5}, Rs: []int{0, 1}, Ms: []int{1600}, Seed: 1}
-	rows, err := Multipath(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("got %d rows, want 4", len(rows))
-	}
-	for _, r := range rows {
-		// The acceptance claim: with a hot link injected, multipath
-		// striping beats single-path e-cube on every grid cell.
-		if r.Multi >= r.Single {
-			t.Errorf("multipath did not improve: %+v", r)
-		}
-		if r.StripedSends == 0 {
-			t.Errorf("no transfer striped: %+v", r)
-		}
-		if r.Speedup <= 1 {
-			t.Errorf("speedup %.3f <= 1: %+v", r.Speedup, r)
-		}
-	}
-	if !strings.Contains(FormatMultipath(rows), "speedup") {
-		t.Error("format missing header")
-	}
-	// Determinism: the congestion-priced study is replayed from sorted
-	// send logs, so a rerun must reproduce every cell exactly.
-	again, err := Multipath(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range rows {
-		if rows[i] != again[i] {
-			t.Fatalf("row %d diverged between runs:\n%+v\n%+v", i, rows[i], again[i])
-		}
-	}
-}

@@ -5,7 +5,7 @@
 // The full fault-tolerant sort runs under GOMAXPROCS 1 (every wait goes
 // through the park/wake path) and NumCPU (true parallelism), each on a
 // cold machine (its first Run) and a warm one (a Run after another on
-// the same machine, reusing its mailboxes, barrier and payload buffers).
+// the same machine, reusing its mailboxes and payload buffers).
 // Every Result quantity that virtual time defines — Makespan, Messages,
 // KeysSent, KeyHops, Comparisons, PerNode — and the sorted output must
 // be bit-identical across all of them. RecvWaits is excluded by design:

@@ -5,8 +5,8 @@ package machine
 // paper's fault model is static — §2's partition assumes the fault set is
 // known before the sort starts — so injection is the bridge to the
 // dynamic scenario: a fault fires mid-run, the victim's kernel aborts
-// through the ordinary failure cascade (Machine.fail → barrier and
-// mailbox aborts), and the caller re-diagnoses and replans on the
+// through the ordinary failure cascade (Machine.fail → mailbox
+// aborts), and the caller re-diagnoses and replans on the
 // now-degraded machine.
 //
 // Design constraints, in order:
@@ -249,7 +249,7 @@ func (m *Machine) Survivors() []cube.NodeID {
 }
 
 // checkInjections is the non-send trigger check, called at the entry of
-// Recv, Compute, and Barrier when the schedule is non-nil: a KillNode
+// Recv and Compute when the schedule is non-nil: a KillNode
 // victim whose time trigger has been reached (or whose injection already
 // fired) aborts here. Send triggers (message counting, link checks) live
 // in checkSendInjections.
@@ -305,21 +305,6 @@ func (p *Proc) checkSendInjections(sched []*armedInjection, dst cube.NodeID) {
 			}
 		}
 	}
-}
-
-// PeerDead reports whether addr is dead from this processor's point of
-// view: configured faulty or a fired KillNode victim. Diagnosis kernels
-// use it as the ground truth their neighbor tests observe.
-func (p *Proc) PeerDead(addr cube.NodeID) bool {
-	if p.m.cfg.Faults.Has(addr) {
-		return true
-	}
-	for _, a := range p.m.inj.load() {
-		if a.inj.Kind == KillNode && a.inj.Node == addr && a.fired.Load() {
-			return true
-		}
-	}
-	return false
 }
 
 // LinkDead reports whether the a-b edge is dead: configured in

@@ -25,7 +25,6 @@ func exchangeKernel(rounds int) machine.Kernel {
 				got := p.Exchange(peer, machine.Tag(r*p.Dim()+d), buf)
 				p.Release(got)
 			}
-			p.Barrier()
 		}
 		return nil
 	}

@@ -32,7 +32,6 @@ package machine
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -176,7 +175,6 @@ type Machine struct {
 	slots    []func()
 	procs    []Proc
 	inGroup  []bool // current run's participant set, indexed by address
-	bar      barrier
 }
 
 // node is the per-processor state. Each node's clock and counters are
@@ -198,12 +196,11 @@ type node struct {
 	ncache int
 
 	// statistics, owned by the node's goroutine
-	msgsSent    int64
-	keysSent    int64
-	keyHops     int64
-	compares    int64
-	recvWaits   int64
-	barrierWait int64 // virtual time absorbed synchronizing to barrier maxima
+	msgsSent  int64
+	keysSent  int64
+	keyHops   int64
+	compares  int64
+	recvWaits int64
 
 	// congestion state, owned by the node's goroutine and used only
 	// when the machine prices congestion: the send log the post-run
@@ -426,7 +423,6 @@ func (m *Machine) RunInto(participants []cube.NodeID, kernel Kernel, perNode map
 	} else {
 		clear(res.PerNode)
 	}
-	var barrierWait int64
 	for _, id := range participants {
 		nd := m.nodes[id]
 		if nd.clock > res.Makespan {
@@ -438,7 +434,6 @@ func (m *Machine) RunInto(participants []cube.NodeID, kernel Kernel, perNode map
 		res.Comparisons += nd.compares
 		res.RecvWaits += nd.recvWaits
 		res.StripedSends += nd.striped
-		barrierWait += nd.barrierWait
 		res.PerNode[id] = nd.clock
 	}
 	if m.cong != nil {
@@ -464,7 +459,6 @@ func (m *Machine) RunInto(participants []cube.NodeID, kernel Kernel, perNode map
 		mm.KeyHops.Add(res.KeyHops)
 		mm.Comparisons.Add(res.Comparisons)
 		mm.RecvWaits.Add(res.RecvWaits)
-		mm.BarrierVTime.Add(barrierWait)
 		mm.Makespan.Observe(int64(res.Makespan))
 	}
 	return res, nil
@@ -506,12 +500,11 @@ func (m *Machine) unmarkParticipants(participants []cube.NodeID) {
 }
 
 // prepareRun re-arms the run state for a run of kernel on n
-// participants: barrier, abort flag, error slots, Proc storage and slot
+// participants: abort flag, error slots, Proc storage and slot
 // closures, all reused across runs so the steady state allocates nothing
 // per call.
 func (m *Machine) prepareRun(kernel Kernel, n int) {
 	m.kernel = kernel
-	m.bar.arm(n)
 	m.aborting.Store(false)
 	if cap(m.errs) < n {
 		m.errs = make([]error, n)
@@ -538,11 +531,10 @@ func (m *Machine) runSlot(i int) {
 }
 
 // fail records a participant's error and aborts the run exactly once,
-// waking every peer blocked in Recv or Barrier.
+// waking every peer blocked in Recv.
 func (m *Machine) fail(slot int, err error) {
 	m.errs[slot] = err
 	if m.aborting.CompareAndSwap(false, true) {
-		m.bar.abort()
 		for _, nd := range m.nodes {
 			nd.box.abort()
 		}
@@ -571,7 +563,6 @@ func (m *Machine) resetNodes() {
 	for _, nd := range m.nodes {
 		nd.clock = 0
 		nd.msgsSent, nd.keysSent, nd.keyHops, nd.compares, nd.recvWaits = 0, 0, 0, 0, 0
-		nd.barrierWait = 0
 		nd.slog, nd.seq, nd.striped = nd.slog[:0], 0, 0
 		// Undelivered payloads from an aborted previous run go back to
 		// the pool: no kernel goroutine is alive to reference them.
@@ -606,12 +597,4 @@ func (m *Machine) Hops(src, dst cube.NodeID) (int, error) {
 		return 0, err
 	}
 	return p.Hops(), nil
-}
-
-// SortedParticipants is a convenience for deterministic participant
-// ordering in reports.
-func SortedParticipants(ids []cube.NodeID) []cube.NodeID {
-	out := append([]cube.NodeID(nil), ids...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -22,7 +22,7 @@ type Proc struct {
 // wrapper converts it back into an error.
 type procFailure struct{ err error }
 
-// ErrAborted is reported by participants blocked in Recv or Barrier when
+// ErrAborted is reported by participants blocked in Recv when
 // another participant's kernel failed.
 var ErrAborted = errors.New("machine: run aborted by another participant's failure")
 
@@ -64,9 +64,6 @@ func (p *Proc) InGroup(addr cube.NodeID) bool {
 	return int(addr) < len(p.m.inGroup) && p.m.inGroup[addr]
 }
 
-// IsFaulty reports whether addr is a faulty processor of the machine.
-func (p *Proc) IsFaulty(addr cube.NodeID) bool { return p.m.cfg.Faults.Has(addr) }
-
 // Compute advances the clock by n key comparisons (n * t_c). Negative n
 // is a programming error and panics.
 func (p *Proc) Compute(n int) {
@@ -81,16 +78,6 @@ func (p *Proc) Compute(n int) {
 	if p.m.cfg.Trace != nil {
 		p.m.emit(TraceEvent{Node: p.nd.id, Kind: TraceCompute, Peer: p.nd.id, Keys: n, Time: p.nd.clock})
 	}
-}
-
-// Elapse advances the clock by an arbitrary duration, for costs outside
-// the comparison/transfer model (e.g. a host-side setup phase a caller
-// wants accounted).
-func (p *Proc) Elapse(d Time) {
-	if d < 0 {
-		panic("machine: negative elapse")
-	}
-	p.nd.clock += d
 }
 
 // Send transmits keys to dst with the given tag. The send is
@@ -235,29 +222,4 @@ func (p *Proc) payloadPut(b []sortutil.Key) {
 		return
 	}
 	p.m.bufs.put(b)
-}
-
-// Barrier blocks until every participant of the run reaches it, then
-// synchronizes the clock to the group maximum. It models phase structure
-// and is free in virtual time; see the barrier type for rationale.
-func (p *Proc) Barrier() {
-	if s := p.m.inj.load(); s != nil {
-		p.checkInjections(s)
-	}
-	t, ok := p.m.bar.wait(p.nd.clock)
-	if !ok {
-		p.fail(ErrAborted)
-	}
-	p.nd.barrierWait += int64(t - p.nd.clock)
-	p.nd.clock = t
-}
-
-// HopsTo returns the hop count the machine's router charges from this
-// node to dst (diagnostic; Send already prices it).
-func (p *Proc) HopsTo(dst cube.NodeID) int {
-	hops, err := p.m.Hops(p.nd.id, dst)
-	if err != nil {
-		p.fail(err)
-	}
-	return hops
 }

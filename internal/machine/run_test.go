@@ -76,14 +76,13 @@ func TestRunAfterAbortSucceeds(t *testing.T) {
 
 // cubeExchangeKernel touches every run-state path a warm run reuses: a
 // message both ways on every cube dimension (mailbox and payload
-// buffers), a barrier, and compute.
+// buffers) and compute.
 func cubeExchangeKernel(p *Proc) error {
 	keys := [4]sortutil.Key{1, 2, 3, 4}
 	for d := 0; d < p.Dim(); d++ {
 		peer := p.ID() ^ cube.NodeID(1<<d)
 		p.Release(p.Exchange(peer, Tag(d), keys[:]))
 	}
-	p.Barrier()
 	p.Compute(len(keys))
 	return nil
 }

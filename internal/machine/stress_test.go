@@ -65,31 +65,6 @@ func TestStressQ10RepeatedRuns(t *testing.T) {
 // (both endpoints derive the same dimension from the lower address).
 func trialDim(id cube.NodeID) int { return 0 }
 
-func TestElapse(t *testing.T) {
-	m := MustNew(Config{Dim: 1})
-	_, err := m.Run([]cube.NodeID{0}, func(p *Proc) error {
-		p.Elapse(37)
-		if p.Clock() != 37 {
-			t.Errorf("clock = %d", p.Clock())
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestElapseNegativePanicsIntoError(t *testing.T) {
-	m := MustNew(Config{Dim: 1})
-	_, err := m.Run([]cube.NodeID{0}, func(p *Proc) error {
-		p.Elapse(-1)
-		return nil
-	})
-	if err == nil {
-		t.Error("negative Elapse did not fail the run")
-	}
-}
-
 func TestComputeNegativePanicsIntoError(t *testing.T) {
 	m := MustNew(Config{Dim: 1})
 	_, err := m.Run([]cube.NodeID{0}, func(p *Proc) error {
@@ -103,16 +78,10 @@ func TestComputeNegativePanicsIntoError(t *testing.T) {
 
 func TestHopsToAndSendOutsideCube(t *testing.T) {
 	m := MustNew(Config{Dim: 3})
-	_, err := m.Run([]cube.NodeID{0}, func(p *Proc) error {
-		if p.HopsTo(7) != 3 {
-			t.Errorf("HopsTo(7) = %d", p.HopsTo(7))
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	if hops, err := m.Hops(0, 7); err != nil || hops != 3 {
+		t.Errorf("Hops(0, 7) = %d, %v; want 3", hops, err)
 	}
-	_, err = m.Run([]cube.NodeID{0}, func(p *Proc) error {
+	_, err := m.Run([]cube.NodeID{0}, func(p *Proc) error {
 		p.Send(9, 0, nil)
 		return nil
 	})

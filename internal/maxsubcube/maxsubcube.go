@@ -6,12 +6,7 @@
 // processor outside it (the paper's "dangling processors").
 package maxsubcube
 
-import (
-	"fmt"
-
-	"hypersort/internal/cube"
-	"hypersort/internal/xrand"
-)
+import "hypersort/internal/cube"
 
 // Find returns a maximum-dimensional fault-free subcube of Q_n and its
 // dimension. Among equal-dimensional candidates the lexicographically
@@ -61,36 +56,4 @@ func Utilization(h cube.Hypercube, faults cube.NodeSet) float64 {
 		return 0
 	}
 	return float64(int(1)<<k) / float64(healthy)
-}
-
-// SampledDimBounds estimates the best- and worst-case fault-free subcube
-// dimension over random placements of r faults in Q_n — the methodology
-// behind the paper's Table 2 best/worst columns (10000 random placements
-// per configuration). For r >= 1 the true best case n-1 (all faults in
-// one half) is found quickly; the worst case converges with trials.
-func SampledDimBounds(h cube.Hypercube, r, trials int, rng *xrand.RNG) (best, worst int, err error) {
-	if r < 0 || r > h.Size() {
-		return 0, 0, fmt.Errorf("maxsubcube: %d faults outside [0,%d]", r, h.Size())
-	}
-	if trials <= 0 {
-		return 0, 0, fmt.Errorf("maxsubcube: non-positive trial count %d", trials)
-	}
-	if r == 0 {
-		return h.Dim(), h.Dim(), nil
-	}
-	best, worst = -1, h.Dim()+1
-	for t := 0; t < trials; t++ {
-		faults := cube.NewNodeSet()
-		for _, f := range rng.Sample(h.Size(), r) {
-			faults.Add(cube.NodeID(f))
-		}
-		_, k := Find(h, faults)
-		if k > best {
-			best = k
-		}
-		if k < worst {
-			worst = k
-		}
-	}
-	return best, worst, nil
 }

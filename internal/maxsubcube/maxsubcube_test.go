@@ -98,27 +98,3 @@ func TestUtilization(t *testing.T) {
 		t.Error("fully faulty cube should have zero utilization")
 	}
 }
-
-func TestSampledDimBounds(t *testing.T) {
-	h := cube.New(5)
-	r := xrand.New(2)
-	best, worst, err := SampledDimBounds(h, 2, 400, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best != 4 {
-		t.Errorf("best = %d, want 4", best)
-	}
-	if worst > 3 || worst < 2 {
-		t.Errorf("worst = %d outside plausible band", worst)
-	}
-	if b, w, err := SampledDimBounds(h, 0, 10, r); err != nil || b != 5 || w != 5 {
-		t.Errorf("r=0 bounds = %d/%d, %v", b, w, err)
-	}
-	if _, _, err := SampledDimBounds(h, -1, 10, r); err == nil {
-		t.Error("negative r accepted")
-	}
-	if _, _, err := SampledDimBounds(h, 1, 0, r); err == nil {
-		t.Error("zero trials accepted")
-	}
-}

@@ -29,10 +29,6 @@ type MachineMetrics struct {
 	Comparisons *Counter
 	// RecvWaits counts receives that blocked waiting for their message.
 	RecvWaits *Counter
-	// BarrierVTime accumulates the virtual time barriers absorbed: the
-	// gap between each processor's clock at arrival and the group maximum
-	// it synchronized to. Large values mean load imbalance.
-	BarrierVTime *Counter
 	// Makespan is the distribution of per-run simulated completion times.
 	Makespan *Histogram
 	// QueueDepth is the distribution of mailbox depths observed by
@@ -101,8 +97,6 @@ func NewMachineMetrics(r *Registry) *MachineMetrics {
 			"Key comparisons performed across all runs."),
 		RecvWaits: r.Counter("hypersort_machine_recv_waits_total",
 			"Receives that blocked because no matching message was queued."),
-		BarrierVTime: r.Counter("hypersort_machine_barrier_vtime_total",
-			"Virtual time absorbed by barriers (sum over processors of group-max clock minus own clock), in cost-model units."),
 		Makespan: r.Histogram("hypersort_machine_makespan",
 			"Per-run simulated completion time, in cost-model units."),
 		QueueDepth: r.Histogram("hypersort_machine_queue_depth",

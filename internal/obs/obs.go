@@ -70,7 +70,6 @@ type metricKind uint8
 const (
 	kindCounter metricKind = iota
 	kindGauge
-	kindGaugeFunc
 	kindHistogram
 )
 
@@ -84,7 +83,6 @@ type metric struct {
 
 	counter *Counter
 	gauge   *Gauge
-	fn      func() int64
 	hist    *Histogram
 }
 
@@ -167,13 +165,6 @@ func (r *Registry) LabeledGauge(name, help, labelKey, labelValue string) *Gauge 
 	return m.gauge
 }
 
-// GaugeFunc registers a gauge whose value is computed at scrape time by
-// fn (process memory, pool sizes). Re-registering the same name keeps the
-// first function.
-func (r *Registry) GaugeFunc(name, help string, fn func() int64) {
-	r.register(&metric{name: name, help: help, kind: kindGaugeFunc, fn: fn})
-}
-
 // Histogram registers (or retrieves) a log-scale histogram; see the
 // Histogram type for the bucketing scheme. Document the observed unit in
 // the help text (and, per Prometheus convention, in the name suffix).
@@ -219,8 +210,6 @@ func (r *Registry) Snapshot() map[string]SnapshotValue {
 			out[k] = SnapshotValue{Kind: "counter", Value: m.counter.Value()}
 		case kindGauge:
 			out[k] = SnapshotValue{Kind: "gauge", Value: m.gauge.Value()}
-		case kindGaugeFunc:
-			out[k] = SnapshotValue{Kind: "gauge", Value: m.fn()}
 		case kindHistogram:
 			count, sum, buckets := m.hist.snapshot()
 			sv := SnapshotValue{Kind: "histogram", Count: count, Sum: sum}
@@ -267,8 +256,6 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 			fmt.Fprintf(w, "%s %d\n", series, m.counter.Value())
 		case kindGauge:
 			fmt.Fprintf(w, "%s %d\n", series, m.gauge.Value())
-		case kindGaugeFunc:
-			fmt.Fprintf(w, "%s %d\n", series, m.fn())
 		case kindHistogram:
 			m.hist.writePrometheus(w, m.name, m.label)
 		}
@@ -280,7 +267,7 @@ func typeName(k metricKind) string {
 	switch k {
 	case kindCounter:
 		return "counter"
-	case kindGauge, kindGaugeFunc:
+	case kindGauge:
 		return "gauge"
 	case kindHistogram:
 		return "histogram"

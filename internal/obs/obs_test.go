@@ -112,7 +112,6 @@ func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("t_requests_total", "requests").Add(7)
 	r.Gauge("t_pool_in_use", "pool").Set(3)
-	r.GaugeFunc("t_heap_bytes", "heap", func() int64 { return 42 })
 	h := r.Histogram("t_latency_ns", "latency")
 	for _, v := range []int64{1, 3, 3, 900, 0} {
 		h.Observe(v)
@@ -155,12 +154,12 @@ func TestWritePrometheusFormat(t *testing.T) {
 		}
 		values[line[:i]] = v
 	}
-	for _, fam := range []string{"t_requests_total", "t_pool_in_use", "t_heap_bytes", "t_latency_ns", "t_phase_total"} {
+	for _, fam := range []string{"t_requests_total", "t_pool_in_use", "t_latency_ns", "t_phase_total"} {
 		if !seenHelp[fam] || !seenType[fam] {
 			t.Errorf("family %s missing HELP or TYPE", fam)
 		}
 	}
-	if values["t_requests_total"] != 7 || values["t_pool_in_use"] != 3 || values["t_heap_bytes"] != 42 {
+	if values["t_requests_total"] != 7 || values["t_pool_in_use"] != 3 {
 		t.Errorf("scalar values wrong: %v", values)
 	}
 	if values[`t_phase_total{phase="a"}`] != 1 || values[`t_phase_total{phase="b"}`] != 2 {

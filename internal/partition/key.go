@@ -19,42 +19,28 @@ import (
 // as a log/metrics label for a configuration.
 type PlanKey string
 
-// KeyFor canonicalizes a configuration into its PlanKey. Faults are
-// deduplicated and sorted; link faults have each endpoint pair oriented
-// low-high, then are deduplicated and sorted lexicographically. model is
-// the fault model as an integer (the package cannot import
-// internal/machine without a cycle; callers pass int(cfg.Model)).
+// AppendKeyRouting appends the canonical fingerprint of a configuration
+// to dst and returns the extended slice. Faults are deduplicated and
+// sorted; link faults have each endpoint pair oriented low-high, then are
+// deduplicated and sorted lexicographically. model and routing are the
+// fault model and routing policy as integers (the package cannot import
+// internal/machine without a cycle; callers pass int(cfg.Model) and
+// int(cfg.Routing)). Policy 0 — the legacy single-path discipline —
+// appends nothing, so every pre-multipath key (and therefore every
+// cached plan, pool, and cluster ring position for default
+// configurations) is unchanged by the routing field.
 //
-// KeyFor is a pure fingerprint: it does not validate that fault
-// addresses lie inside Q_dim or that link pairs are hypercube edges —
-// validation belongs to the plan and machine constructors. On the set of
-// valid configurations the mapping is injective (see FuzzPlanKey).
-func KeyFor(dim int, faults []cube.NodeID, links [][2]cube.NodeID, model int) PlanKey {
-	return PlanKey(AppendKey(nil, dim, faults, links, model))
-}
-
-// KeyForRouting is KeyFor extended with the routing policy (as an
-// integer, for the same import-cycle reason as model). Policy 0 — the
-// legacy single-path discipline — appends nothing, so every
-// pre-multipath key (and therefore every cached plan, pool, and cluster
-// ring position for default configurations) is byte-identical to what
-// KeyFor produces.
-func KeyForRouting(dim int, faults []cube.NodeID, links [][2]cube.NodeID, model, routing int) PlanKey {
-	return PlanKey(AppendKeyRouting(nil, dim, faults, links, model, routing))
-}
-
-// AppendKey appends KeyFor's canonical fingerprint bytes to dst and
-// returns the extended slice, KeyFor with caller-controlled allocation:
-// request paths that fingerprint a configuration per call build the key
-// in a pooled buffer and intern the durable string once, instead of
-// paying the string construction on every lookup. For typical fault
-// counts the canonicalization scratch lives on the stack.
-func AppendKey(dst []byte, dim int, faults []cube.NodeID, links [][2]cube.NodeID, model int) []byte {
-	return AppendKeyRouting(dst, dim, faults, links, model, 0)
-}
-
-// AppendKeyRouting is AppendKey extended with the routing policy; see
-// KeyForRouting for the zero-policy compatibility guarantee.
+// The caller controls allocation: request paths that fingerprint a
+// configuration per call build the key in a pooled buffer and intern the
+// durable string once, instead of paying the string construction on
+// every lookup. For typical fault counts the canonicalization scratch
+// lives on the stack.
+//
+// AppendKeyRouting is a pure fingerprint: it does not validate that
+// fault addresses lie inside Q_dim or that link pairs are hypercube
+// edges — validation belongs to the plan and machine constructors. On
+// the set of valid configurations the mapping is injective (see
+// FuzzPlanKey).
 func AppendKeyRouting(dst []byte, dim int, faults []cube.NodeID, links [][2]cube.NodeID, model, routing int) []byte {
 	dst = append(dst, 'n')
 	dst = strconv.AppendInt(dst, int64(dim), 10)

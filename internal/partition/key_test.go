@@ -6,8 +6,18 @@ import (
 	"hypersort/internal/cube"
 )
 
+// keyFor canonicalizes a single-path configuration into its PlanKey.
+func keyFor(dim int, faults []cube.NodeID, links [][2]cube.NodeID, model int) PlanKey {
+	return keyForRouting(dim, faults, links, model, 0)
+}
+
+// keyForRouting is keyFor extended with the routing policy.
+func keyForRouting(dim int, faults []cube.NodeID, links [][2]cube.NodeID, model, routing int) PlanKey {
+	return PlanKey(AppendKeyRouting(nil, dim, faults, links, model, routing))
+}
+
 func TestPlanKeyCanonicalization(t *testing.T) {
-	base := KeyFor(6, []cube.NodeID{3, 17, 40}, [][2]cube.NodeID{{0, 1}, {5, 7}}, 0)
+	base := keyFor(6, []cube.NodeID{3, 17, 40}, [][2]cube.NodeID{{0, 1}, {5, 7}}, 0)
 	cases := []struct {
 		name   string
 		faults []cube.NodeID
@@ -20,22 +30,22 @@ func TestPlanKeyCanonicalization(t *testing.T) {
 		{"duplicated links", []cube.NodeID{3, 17, 40}, [][2]cube.NodeID{{0, 1}, {5, 7}, {1, 0}}},
 	}
 	for _, tc := range cases {
-		if got := KeyFor(6, tc.faults, tc.links, 0); got != base {
+		if got := keyFor(6, tc.faults, tc.links, 0); got != base {
 			t.Errorf("%s: key %q != canonical %q", tc.name, got, base)
 		}
 	}
 }
 
 func TestPlanKeyDistinguishesComponents(t *testing.T) {
-	base := KeyFor(6, []cube.NodeID{3, 17}, [][2]cube.NodeID{{0, 1}}, 0)
+	base := keyFor(6, []cube.NodeID{3, 17}, [][2]cube.NodeID{{0, 1}}, 0)
 	diffs := map[string]PlanKey{
-		"dim":       KeyFor(5, []cube.NodeID{3, 17}, [][2]cube.NodeID{{0, 1}}, 0),
-		"faults":    KeyFor(6, []cube.NodeID{3, 18}, [][2]cube.NodeID{{0, 1}}, 0),
-		"extra":     KeyFor(6, []cube.NodeID{3, 17, 40}, [][2]cube.NodeID{{0, 1}}, 0),
-		"links":     KeyFor(6, []cube.NodeID{3, 17}, [][2]cube.NodeID{{0, 2}}, 0),
-		"no links":  KeyFor(6, []cube.NodeID{3, 17}, nil, 0),
-		"model":     KeyFor(6, []cube.NodeID{3, 17}, [][2]cube.NodeID{{0, 1}}, 1),
-		"no faults": KeyFor(6, nil, [][2]cube.NodeID{{0, 1}}, 0),
+		"dim":       keyFor(5, []cube.NodeID{3, 17}, [][2]cube.NodeID{{0, 1}}, 0),
+		"faults":    keyFor(6, []cube.NodeID{3, 18}, [][2]cube.NodeID{{0, 1}}, 0),
+		"extra":     keyFor(6, []cube.NodeID{3, 17, 40}, [][2]cube.NodeID{{0, 1}}, 0),
+		"links":     keyFor(6, []cube.NodeID{3, 17}, [][2]cube.NodeID{{0, 2}}, 0),
+		"no links":  keyFor(6, []cube.NodeID{3, 17}, nil, 0),
+		"model":     keyFor(6, []cube.NodeID{3, 17}, [][2]cube.NodeID{{0, 1}}, 1),
+		"no faults": keyFor(6, nil, [][2]cube.NodeID{{0, 1}}, 0),
 	}
 	for name, k := range diffs {
 		if k == base {
@@ -48,12 +58,12 @@ func TestPlanKeyDistinguishesComponents(t *testing.T) {
 // classic concatenation trap: multi-digit components must not be able to
 // re-parse as a different configuration.
 func TestPlanKeyAmbiguousSeparators(t *testing.T) {
-	a := KeyFor(10, []cube.NodeID{1, 23}, nil, 0)
-	b := KeyFor(10, []cube.NodeID{12, 3}, nil, 0)
+	a := keyFor(10, []cube.NodeID{1, 23}, nil, 0)
+	b := keyFor(10, []cube.NodeID{12, 3}, nil, 0)
 	if a == b {
 		t.Fatalf("fault lists {1,23} and {12,3} collide: %q", a)
 	}
-	c := KeyFor(10, []cube.NodeID{123}, nil, 0)
+	c := keyFor(10, []cube.NodeID{123}, nil, 0)
 	if a == c || b == c {
 		t.Fatalf("fault list {123} collides: %q %q %q", a, b, c)
 	}
@@ -112,8 +122,8 @@ func FuzzPlanKey(f *testing.F) {
 		linksA, linksB := edgesFromBits(h, lA), edgesFromBits(h, lB)
 		modelA, modelB := int(mA)%2, int(mB)%2
 
-		keyA := KeyFor(n, faultsA, linksA, modelA)
-		keyB := KeyFor(n, faultsB, linksB, modelB)
+		keyA := keyFor(n, faultsA, linksA, modelA)
+		keyB := keyFor(n, faultsB, linksB, modelB)
 
 		equalCfg := modelA == modelB &&
 			nodeSetEqual(cube.NewNodeSet(faultsA...), cube.NewNodeSet(faultsB...)) &&
@@ -133,7 +143,7 @@ func FuzzPlanKey(f *testing.F) {
 		for i := range permLinks {
 			permLinks[i][0], permLinks[i][1] = permLinks[i][1], permLinks[i][0]
 		}
-		if got := KeyFor(n, permFaults, permLinks, modelA); got != keyA {
+		if got := keyFor(n, permFaults, permLinks, modelA); got != keyA {
 			t.Fatalf("permuted listing changed key: %q vs %q", got, keyA)
 		}
 	})

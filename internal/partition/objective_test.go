@@ -105,12 +105,11 @@ func TestBuildPlanObjectiveCongestion(t *testing.T) {
 // TestKeyRoutingTag: routing policy 0 appends nothing (pre-multipath
 // keys stay byte-identical); nonzero policies get their own keyspace.
 func TestKeyRoutingTag(t *testing.T) {
-	base := KeyFor(5, []cube.NodeID{3}, nil, 0)
-	same := KeyForRouting(5, []cube.NodeID{3}, nil, 0, 0)
-	if base != same {
-		t.Fatalf("zero-policy key diverged: %q vs %q", base, same)
+	base := keyForRouting(5, []cube.NodeID{3}, nil, 0, 0)
+	if base != "n5|md0|f3|l" {
+		t.Fatalf("zero-policy key = %q, want the pre-multipath %q", base, "n5|md0|f3|l")
 	}
-	multi := KeyForRouting(5, []cube.NodeID{3}, nil, 0, 1)
+	multi := keyForRouting(5, []cube.NodeID{3}, nil, 0, 1)
 	if multi == base {
 		t.Fatal("routing policy not keyed")
 	}

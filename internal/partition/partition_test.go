@@ -172,35 +172,62 @@ func TestMincutMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestCuttingSetComplete verifies Ψ contains EVERY minimal feasible
-// subset, cross-checked by brute force.
+// TestCuttingSetComplete certifies the cutting-set search on every
+// placement of 2–4 faults in Q_5 (41,416 of them) rather than a sample:
+// no smaller dimension set may separate the faults, and Ψ must be exactly
+// the brute-force list of mincut-sized dimension sets that leave at most
+// one fault per subcube, in Combinations order.
 func TestCuttingSetComplete(t *testing.T) {
-	r := xrand.New(43)
-	h := cube.New(5)
-	for trial := 0; trial < 100; trial++ {
-		nf := 2 + r.IntN(4)
-		faults := cube.NewNodeSet()
-		for _, f := range r.Sample(h.Size(), nf) {
-			faults.Add(cube.NodeID(f))
+	const n = 5
+	h := cube.New(n)
+	type cut struct {
+		seq   cube.CutSequence
+		split *cube.Split
+	}
+	cuts := make([][]cut, n+1) // cuts[m]: every m-dimension set, in Combinations order
+	for m := range cuts {
+		for _, dims := range cube.Combinations(n, m) {
+			seq := cube.CutSequence(dims)
+			cuts[m] = append(cuts[m], cut{seq, cube.MustSplit(h, seq)})
 		}
-		set, err := FindCuttingSet(h, faults)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want []cube.CutSequence
-		for _, dims := range cube.Combinations(5, set.Mincut) {
-			if cube.MustSplit(h, cube.CutSequence(dims)).IsSingleFault(faults) {
-				want = append(want, cube.CutSequence(dims))
+	}
+	placements := 0
+	for r := 2; r <= 4; r++ {
+		for _, ids := range cube.Combinations(h.Size(), r) {
+			placements++
+			faults := cube.NewNodeSet()
+			for _, id := range ids {
+				faults.Add(cube.NodeID(id))
+			}
+			set, err := FindCuttingSet(h, faults)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for m := 0; m < set.Mincut; m++ {
+				for _, c := range cuts[m] {
+					if c.split.IsSingleFault(faults) {
+						t.Fatalf("faults %v: mincut %d, but %v already separates", faults.Sorted(), set.Mincut, c.seq)
+					}
+				}
+			}
+			var want []cube.CutSequence
+			for _, c := range cuts[set.Mincut] {
+				if c.split.IsSingleFault(faults) {
+					want = append(want, c.seq)
+				}
+			}
+			if len(want) != len(set.Sequences) {
+				t.Fatalf("faults %v: |Ψ| = %d, brute force %d", faults.Sorted(), len(set.Sequences), len(want))
+			}
+			for i := range want {
+				if !set.Sequences[i].Equal(want[i]) {
+					t.Fatalf("faults %v: Ψ[%d] = %v, want %v", faults.Sorted(), i, set.Sequences[i], want[i])
+				}
 			}
 		}
-		if len(want) != len(set.Sequences) {
-			t.Fatalf("faults %v: |Ψ| = %d, brute force %d", faults.Sorted(), len(set.Sequences), len(want))
-		}
-		for i := range want {
-			if !set.Sequences[i].Equal(want[i]) {
-				t.Fatalf("Ψ[%d] = %v, want %v", i, set.Sequences[i], want[i])
-			}
-		}
+	}
+	if placements != 41416 {
+		t.Fatalf("walked %d placements, want 41,416", placements)
 	}
 }
 

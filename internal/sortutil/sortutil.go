@@ -1,8 +1,7 @@
 // Package sortutil implements the sequential sorting machinery the
 // fault-tolerant hypercube sort is built from: heapsort (the paper's
-// Step 3 local sort), bitonic sequence primitives, two-way merges, and the
-// compare-split operation each processor pair performs during a
-// distributed bitonic stage.
+// Step 3 local sort), the two-way merge, and the compare-split operation
+// each processor pair performs during a distributed bitonic stage.
 //
 // Keys are int64 with a reserved +infinity used as the paper's dummy key:
 // when M elements do not divide evenly over the working processors, the
@@ -48,15 +47,6 @@ func (d Direction) String() string {
 
 // Reverse returns the opposite direction.
 func (d Direction) Reverse() Direction { return !d }
-
-// ForParity returns the paper's direction rule: even (reindexed) addresses
-// sort ascending, odd addresses descending.
-func ForParity(addr int) Direction {
-	if addr%2 == 0 {
-		return Ascending
-	}
-	return Descending
-}
 
 // InOrder reports whether a may precede b under direction d.
 func (d Direction) InOrder(a, b Key) bool {
@@ -144,37 +134,6 @@ func IsSorted(xs []Key, d Direction) bool {
 	return true
 }
 
-// IsBitonic reports whether xs is a bitonic sequence: a cyclic rotation of
-// a sequence that first ascends then descends. Every sequence of length
-// <= 2 is bitonic.
-func IsBitonic(xs []Key) bool {
-	n := len(xs)
-	if n <= 2 {
-		return true
-	}
-	// Count the number of direction inversions around the cycle; bitonic
-	// sequences have at most two sign changes cyclically.
-	changes := 0
-	prevSign := 0
-	for i := 0; i < n; i++ {
-		a, b := xs[i], xs[(i+1)%n]
-		var sign int
-		switch {
-		case a < b:
-			sign = 1
-		case a > b:
-			sign = -1
-		default:
-			continue // equal neighbors never add a change
-		}
-		if prevSign != 0 && sign != prevSign {
-			changes++
-		}
-		prevSign = sign
-	}
-	return changes <= 2
-}
-
 // Reverse reverses xs in place.
 func Reverse(xs []Key) {
 	for i, j := 0, len(xs)-1; i < j; i, j = i+1, j-1 {
@@ -182,28 +141,10 @@ func Reverse(xs []Key) {
 	}
 }
 
-// Merge merges two slices, each already sorted in direction d, into a
-// freshly allocated slice sorted in direction d. This is the paper's
-// Step 7(c) merge of the kept half with the received half.
-func Merge(a, b []Key, d Direction) []Key {
-	out := make([]Key, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if d.InOrder(a[i], b[j]) {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
-// MergeInto is Merge writing into dst (which must have capacity
-// len(a)+len(b)); it returns the filled dst. Kernels use it to avoid
-// allocating inside timing loops.
+// MergeInto merges two slices, each already sorted in direction d, into
+// dst (which should have capacity len(a)+len(b)) and returns the filled
+// dst: the paper's Step 7(c) merge of the kept half with the received
+// half. Kernels reuse dst to avoid allocating inside timing loops.
 func MergeInto(dst, a, b []Key, d Direction) []Key {
 	dst = dst[:0]
 	i, j := 0, 0
@@ -319,58 +260,6 @@ func CompareSplitInto(dst, mine, theirs []Key, keepLow bool) []Key {
 	}
 	Reverse(out)
 	return out
-}
-
-// BitonicMerge sorts a bitonic slice whose length is a power of two into
-// direction d, in place, using the classic recursive halving network.
-func BitonicMerge(xs []Key, d Direction) {
-	n := len(xs)
-	if n <= 1 {
-		return
-	}
-	half := n / 2
-	for i := 0; i < half; i++ {
-		if !d.InOrder(xs[i], xs[i+half]) {
-			xs[i], xs[i+half] = xs[i+half], xs[i]
-		}
-	}
-	BitonicMerge(xs[:half], d)
-	BitonicMerge(xs[half:], d)
-}
-
-// BitonicSort sorts xs (length a power of two) into direction d in place
-// using Batcher's bitonic sorting network. It panics on non-power-of-two
-// lengths; callers with ragged input should pad with Inf first.
-func BitonicSort(xs []Key, d Direction) {
-	n := len(xs)
-	if n&(n-1) != 0 {
-		panic("sortutil: BitonicSort requires power-of-two length")
-	}
-	if n <= 1 {
-		return
-	}
-	half := n / 2
-	BitonicSort(xs[:half], d)
-	BitonicSort(xs[half:], d.Reverse())
-	BitonicMerge(xs, d)
-}
-
-// PadToPowerOfTwo appends Inf dummies until len(xs) is a power of two and
-// returns the padded slice alongside the pad count.
-func PadToPowerOfTwo(xs []Key) ([]Key, int) {
-	n := len(xs)
-	if n == 0 {
-		return xs, 0
-	}
-	size := 1
-	for size < n {
-		size <<= 1
-	}
-	pad := size - n
-	for i := 0; i < pad; i++ {
-		xs = append(xs, Inf)
-	}
-	return xs, pad
 }
 
 // StripInf removes trailing Inf dummies from an ascending-sorted slice.

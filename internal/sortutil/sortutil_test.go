@@ -23,9 +23,6 @@ func TestDirectionBasics(t *testing.T) {
 	if Ascending.Reverse() != Descending || Descending.Reverse() != Ascending {
 		t.Error("Reverse wrong")
 	}
-	if ForParity(0) != Ascending || ForParity(1) != Descending || ForParity(6) != Ascending {
-		t.Error("ForParity wrong")
-	}
 	if !Ascending.InOrder(1, 2) || Ascending.InOrder(2, 1) || !Ascending.InOrder(2, 2) {
 		t.Error("InOrder ascending wrong")
 	}
@@ -99,6 +96,37 @@ func TestIsSorted(t *testing.T) {
 	}
 }
 
+// isBitonic reports whether xs is a bitonic sequence: a cyclic rotation of
+// a sequence that first ascends then descends. Every sequence of length
+// <= 2 is bitonic.
+func isBitonic(xs []Key) bool {
+	n := len(xs)
+	if n <= 2 {
+		return true
+	}
+	// Count the number of direction inversions around the cycle; bitonic
+	// sequences have at most two sign changes cyclically.
+	changes := 0
+	prevSign := 0
+	for i := 0; i < n; i++ {
+		a, b := xs[i], xs[(i+1)%n]
+		var sign int
+		switch {
+		case a < b:
+			sign = 1
+		case a > b:
+			sign = -1
+		default:
+			continue // equal neighbors never add a change
+		}
+		if prevSign != 0 && sign != prevSign {
+			changes++
+		}
+		prevSign = sign
+	}
+	return changes <= 2
+}
+
 func TestIsBitonic(t *testing.T) {
 	cases := []struct {
 		xs   []Key
@@ -117,8 +145,8 @@ func TestIsBitonic(t *testing.T) {
 		{[]Key{3, 1, 2, 1, 3}, false}, // W shape wraps to > 2 changes
 	}
 	for _, c := range cases {
-		if got := IsBitonic(c.xs); got != c.want {
-			t.Errorf("IsBitonic(%v) = %v, want %v", c.xs, got, c.want)
+		if got := isBitonic(c.xs); got != c.want {
+			t.Errorf("isBitonic(%v) = %v, want %v", c.xs, got, c.want)
 		}
 	}
 }
@@ -130,7 +158,7 @@ func TestConcatenationOfOppositeSortsIsBitonic(t *testing.T) {
 		b := randomKeys(r, r.IntN(16))
 		HeapSort(a, Ascending)
 		HeapSort(b, Descending)
-		if !IsBitonic(append(Clone(a), b...)) {
+		if !isBitonic(append(Clone(a), b...)) {
 			t.Fatalf("asc+desc concat not bitonic: %v | %v", a, b)
 		}
 	}
@@ -139,22 +167,24 @@ func TestConcatenationOfOppositeSortsIsBitonic(t *testing.T) {
 func TestMerge(t *testing.T) {
 	a := []Key{1, 4, 6}
 	b := []Key{2, 3, 7}
-	got := Merge(a, b, Ascending)
+	got := MergeInto(nil, a, b, Ascending)
 	want := []Key{1, 2, 3, 4, 6, 7}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("Merge = %v", got)
 		}
 	}
-	gd := Merge([]Key{6, 4, 1}, []Key{7, 3, 2}, Descending)
+	gd := MergeInto(nil, []Key{6, 4, 1}, []Key{7, 3, 2}, Descending)
 	if !IsSorted(gd, Descending) || len(gd) != 6 {
 		t.Fatalf("descending Merge = %v", gd)
 	}
-	if got := Merge(nil, b, Ascending); len(got) != 3 {
+	if got := MergeInto(nil, nil, b, Ascending); len(got) != 3 {
 		t.Error("merge with empty side wrong")
 	}
 }
 
+// TestMergeIntoMatchesMerge checks MergeInto against a reference merge:
+// the sorted concatenation of both runs.
 func TestMergeIntoMatchesMerge(t *testing.T) {
 	r := xrand.New(3)
 	for trial := 0; trial < 100; trial++ {
@@ -162,7 +192,8 @@ func TestMergeIntoMatchesMerge(t *testing.T) {
 		b := randomKeys(r, r.IntN(32))
 		HeapSort(a, Ascending)
 		HeapSort(b, Ascending)
-		want := Merge(a, b, Ascending)
+		want := append(Clone(a), b...)
+		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 		dst := make([]Key, 0, len(a)+len(b))
 		got := MergeInto(dst, a, b, Ascending)
 		if len(got) != len(want) {
@@ -216,64 +247,6 @@ func TestCompareSplitPairInvariant(t *testing.T) {
 		if len(low) > 0 && len(high) > 0 && low[len(low)-1] > high[0] {
 			t.Fatalf("low max %d exceeds high min %d", low[len(low)-1], high[0])
 		}
-	}
-}
-
-func TestBitonicMergeSortsBitonicInput(t *testing.T) {
-	r := xrand.New(5)
-	for trial := 0; trial < 200; trial++ {
-		k := 1 << (1 + r.IntN(5))
-		a := randomKeys(r, k/2)
-		b := randomKeys(r, k/2)
-		HeapSort(a, Ascending)
-		HeapSort(b, Descending)
-		xs := append(a, b...)
-		orig := Clone(xs)
-		BitonicMerge(xs, Ascending)
-		if !IsSorted(xs, Ascending) || !SameMultiset(xs, orig) {
-			t.Fatalf("BitonicMerge failed on %v", orig)
-		}
-	}
-}
-
-func TestBitonicSort(t *testing.T) {
-	r := xrand.New(6)
-	for trial := 0; trial < 200; trial++ {
-		n := 1 << r.IntN(8)
-		xs := randomKeys(r, n)
-		orig := Clone(xs)
-		d := Ascending
-		if trial%2 == 1 {
-			d = Descending
-		}
-		BitonicSort(xs, d)
-		if !IsSorted(xs, d) || !SameMultiset(xs, orig) {
-			t.Fatalf("BitonicSort(%v) failed on %v -> %v", d, orig, xs)
-		}
-	}
-}
-
-func TestBitonicSortPanicsOnRaggedLength(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("BitonicSort accepted length 3")
-		}
-	}()
-	BitonicSort(make([]Key, 3), Ascending)
-}
-
-func TestPadToPowerOfTwo(t *testing.T) {
-	xs, pad := PadToPowerOfTwo([]Key{1, 2, 3})
-	if len(xs) != 4 || pad != 1 || xs[3] != Inf {
-		t.Errorf("pad = %v (%d)", xs, pad)
-	}
-	xs, pad = PadToPowerOfTwo([]Key{1, 2, 3, 4})
-	if len(xs) != 4 || pad != 0 {
-		t.Error("power-of-two input should not pad")
-	}
-	xs, pad = PadToPowerOfTwo(nil)
-	if len(xs) != 0 || pad != 0 {
-		t.Error("empty input should stay empty")
 	}
 }
 

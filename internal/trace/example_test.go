@@ -24,13 +24,13 @@ func ExampleAnalyze() {
 	fmt.Printf("makespan: %d\n", rep.Makespan)
 	fmt.Printf("node 1 received: %d keys\n", rep.Profiles[1].KeysIn)
 	fmt.Printf("messages 0->1: %d\n", rep.Traffic[0][1])
-	fmt.Printf("extra-hop share: %.2f\n", rep.ExtraHopShare())
+	fmt.Printf("1-hop messages: %d\n", rep.HopHistogram[1])
 	// Output:
 	// events: 4
 	// makespan: 266
 	// node 1 received: 64 keys
 	// messages 0->1: 1
-	// extra-hop share: 0.00
+	// 1-hop messages: 1
 }
 
 // ExampleWriteChrome exports a Ring's contents as Chrome trace-event

@@ -170,23 +170,6 @@ func (r *Report) Summary() string {
 	return b.String()
 }
 
-// ExtraHopShare returns the fraction of sent messages that travelled
-// more than one hop — the reindexing overhead the paper's formula (1)
-// heuristic tries to keep down. Returns 0 for an empty trace.
-func (r *Report) ExtraHopShare() float64 {
-	total, extra := 0, 0
-	for h, c := range r.HopHistogram {
-		total += c
-		if h > 1 {
-			extra += c
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(extra) / float64(total)
-}
-
 // Timeline renders the first limit events in time order, one per line —
 // a readable flight recorder for debugging kernels.
 func Timeline(events []machine.TraceEvent, limit int) string {

@@ -158,17 +158,3 @@ func DistributeInto(backing []sortutil.Key, shares [][]sortutil.Key, keys []sort
 	}
 	return backing, shares, nil
 }
-
-// Gather concatenates shares back into one slice (the inverse of
-// Distribute up to padding), dropping nothing.
-func Gather(shares [][]sortutil.Key) []sortutil.Key {
-	var total int
-	for _, s := range shares {
-		total += len(s)
-	}
-	out := make([]sortutil.Key, 0, total)
-	for _, s := range shares {
-		out = append(out, s...)
-	}
-	return out
-}

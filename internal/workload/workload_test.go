@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
 	"hypersort/internal/sortutil"
@@ -109,9 +110,9 @@ func TestDistributeEvenAndRagged(t *testing.T) {
 		t.Errorf("total %d dummies %d", total, dummies)
 	}
 	// Real keys must survive the round trip.
-	gathered := sortutil.StripInfAll(Gather(shares))
+	gathered := sortutil.StripInfAll(slices.Concat(shares...))
 	if !sortutil.SameMultiset(gathered, keys) {
-		t.Error("Distribute/Gather lost keys")
+		t.Error("Distribute lost keys")
 	}
 }
 
@@ -130,13 +131,16 @@ func TestDistributeErrorsAndEmpty(t *testing.T) {
 	}
 }
 
+// TestGatherOrder checks that gathering Distribute's shares back in
+// processor order yields the input order, then the Inf padding.
 func TestGatherOrder(t *testing.T) {
-	shares := [][]sortutil.Key{{1, 2}, {3}, {4, 5}}
-	got := Gather(shares)
-	want := []sortutil.Key{1, 2, 3, 4, 5}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Gather = %v", got)
-		}
+	shares, err := Distribute([]sortutil.Key{5, 1, 4, 2, 3}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := slices.Concat(shares...)
+	want := []sortutil.Key{5, 1, 4, 2, 3, sortutil.Inf}
+	if !slices.Equal(got, want) {
+		t.Fatalf("gathered shares = %v, want %v", got, want)
 	}
 }

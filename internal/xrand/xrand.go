@@ -102,14 +102,6 @@ func (r *RNG) Sample(n, k int) []int {
 	return append([]int(nil), pool[:k]...)
 }
 
-// Shuffle randomly permutes the first n elements using the provided swap
-// function, mirroring math/rand's Shuffle contract.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, r.IntN(i+1))
-	}
-}
-
 // NormFloat64 returns an approximately standard-normal variate using the
 // sum of 12 uniforms (Irwin-Hall). Experiments only need plausible
 // non-uniform key distributions, not exact tails, and this keeps the

@@ -178,23 +178,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestShufflePreservesMultiset(t *testing.T) {
-	r := New(31)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, x := range xs {
-		got += x
-	}
-	if got != sum {
-		t.Error("Shuffle changed the multiset")
-	}
-}
-
 func TestZeroValueUsable(t *testing.T) {
 	var r RNG
 	if r.Uint64() == r.Uint64() {
