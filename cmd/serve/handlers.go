@@ -108,12 +108,15 @@ func newMux(eng backend, ring *trace.Ring, chaos bool, routing hypersort.Routing
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/v1/sort", func(w http.ResponseWriter, r *http.Request) {
 		var wreq wireRequest
-		if !readJSON(w, r, &wreq) {
+		keys, ok := readRequest(w, r, &wreq)
+		if !ok {
 			return
 		}
-		req, err := wreq.toRequest(routing)
+		buf := getBuf()
+		req, err := wreq.toRequest(routing, keys.get(wreq.Keys))
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, wireResult{Err: err.Error()})
+			*buf = appendError(*buf, err.Error())
+			writeBody(w, http.StatusBadRequest, buf)
 			return
 		}
 		// The request context rides into the engine: a client that
@@ -124,30 +127,29 @@ func newMux(eng backend, ring *trace.Ring, chaos bool, routing hypersort.Routing
 		if status == http.StatusServiceUnavailable {
 			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(queueWait, eng)))
 		}
-		writeJSON(w, status, toWire(req, res))
+		*buf = appendResult(*buf, req.Op, res)
+		writeBody(w, status, buf)
 	})
 	mux.HandleFunc("/v1/batch", func(w http.ResponseWriter, r *http.Request) {
-		var body struct {
-			Requests []wireRequest `json:"requests"`
-		}
-		if !readJSON(w, r, &body) {
+		var body wireBatch
+		keys, ok := readRequest(w, r, &body)
+		if !ok {
 			return
 		}
 		reqs := make([]hypersort.Request, len(body.Requests))
 		preErr := make([]error, len(body.Requests))
 		for i, wr := range body.Requests {
-			reqs[i], preErr[i] = wr.toRequest(routing)
+			reqs[i], preErr[i] = wr.toRequest(routing, keys.get(wr.Keys))
 		}
 		results := eng.SortBatchContext(r.Context(), reqs)
-		out := make([]wireResult, len(results))
-		for i, res := range results {
-			if preErr[i] != nil {
-				out[i] = wireResult{Err: preErr[i].Error()}
-				continue
+		for i, err := range preErr {
+			if err != nil {
+				results[i] = hypersort.Result{Err: err}
 			}
-			out[i] = toWire(reqs[i], res)
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"results": out})
+		buf := getBuf()
+		*buf = appendBatch(*buf, reqs, results)
+		writeBody(w, http.StatusOK, buf)
 	})
 	if chaos {
 		// Chaos drill endpoints: arm a scheduled casualty against a
@@ -157,7 +159,7 @@ func newMux(eng backend, ring *trace.Ring, chaos bool, routing hypersort.Routing
 		// recovery instruments land on /metrics.
 		mux.HandleFunc("/v1/chaos/inject", func(w http.ResponseWriter, r *http.Request) {
 			var wi wireInjection
-			if !readJSON(w, r, &wi) {
+			if _, ok := readRequest(w, r, &wi); !ok {
 				return
 			}
 			cfg, inj, err := wi.toInjection(routing)
@@ -173,7 +175,7 @@ func newMux(eng backend, ring *trace.Ring, chaos bool, routing hypersort.Routing
 		})
 		mux.HandleFunc("/v1/chaos/disarm", func(w http.ResponseWriter, r *http.Request) {
 			var wr wireRequest
-			if !readJSON(w, r, &wr) {
+			if _, ok := readRequest(w, r, &wr); !ok {
 				return
 			}
 			cfg, err := wr.toConfig(routing)
@@ -230,7 +232,8 @@ func statusFor(err error) int {
 	}
 }
 
-// wireRequest is the JSON shape of one request.
+// wireRequest is the JSON shape of one request. Keys is the token
+// readRequest splices in for the "keys" array, which it parses by hand.
 type wireRequest struct {
 	Dim        int        `json:"dim"`
 	Faults     []int64    `json:"faults,omitempty"`
@@ -239,7 +242,12 @@ type wireRequest struct {
 	Routing    string     `json:"routing,omitempty"` // "ecube" or "multipath" ("" = the -routing default)
 	Op         string     `json:"op,omitempty"`      // "sort" (default), "kth", "median", "topk"
 	K          int        `json:"k,omitempty"`
-	Keys       []int64    `json:"keys"`
+	Keys       keysRef    `json:"keys"`
+}
+
+// wireBatch is the JSON shape of a /v1/batch body.
+type wireBatch struct {
+	Requests []wireRequest `json:"requests"`
 }
 
 // toConfig converts the wire form's configuration fields, rejecting
@@ -274,9 +282,9 @@ func (wr wireRequest) toConfig(defRouting hypersort.RoutingPolicy) (hypersort.Co
 	return cfg, nil
 }
 
-// toRequest converts the wire form into a library request, rejecting
-// unknown enum strings.
-func (wr wireRequest) toRequest(defRouting hypersort.RoutingPolicy) (hypersort.Request, error) {
+// toRequest converts the wire form, whose keys readRequest parsed, into
+// a library request, rejecting unknown enum strings.
+func (wr wireRequest) toRequest(defRouting hypersort.RoutingPolicy, keys []hypersort.Key) (hypersort.Request, error) {
 	cfg, err := wr.toConfig(defRouting)
 	if err != nil {
 		return hypersort.Request{}, err
@@ -293,10 +301,6 @@ func (wr wireRequest) toRequest(defRouting hypersort.RoutingPolicy) (hypersort.R
 		op = hypersort.OpTopK
 	default:
 		return hypersort.Request{}, fmt.Errorf("unknown op %q", wr.Op)
-	}
-	keys := make([]hypersort.Key, len(wr.Keys))
-	for i, k := range wr.Keys {
-		keys[i] = hypersort.Key(k)
 	}
 	return hypersort.Request{Config: cfg, Op: op, Keys: keys, K: wr.K}, nil
 }
@@ -334,37 +338,6 @@ func (wi wireInjection) toInjection(defRouting hypersort.RoutingPolicy) (hyperso
 		return hypersort.Config{}, hypersort.Injection{}, fmt.Errorf("one of kill_node or kill_link is required")
 	}
 	return cfg, inj, nil
-}
-
-// wireResult is the JSON shape of one outcome. Direct marks results
-// served by the direct host-speed substrate: the keys are exact, the
-// stats are the analytic prediction instead of simulator measurements.
-type wireResult struct {
-	Keys   []int64         `json:"keys,omitempty"`
-	Value  *int64          `json:"value,omitempty"`
-	Stats  hypersort.Stats `json:"stats"`
-	Direct bool            `json:"direct,omitempty"`
-	Err    string          `json:"error,omitempty"`
-}
-
-// toWire converts a library result into its wire form, selecting the
-// payload field the request's op populates.
-func toWire(req hypersort.Request, res hypersort.Result) wireResult {
-	if res.Err != nil {
-		return wireResult{Err: res.Err.Error()}
-	}
-	out := wireResult{Stats: res.Stats, Direct: res.Direct}
-	switch req.Op {
-	case hypersort.OpKthSmallest, hypersort.OpMedian:
-		v := int64(res.Value)
-		out.Value = &v
-	default:
-		out.Keys = make([]int64, len(res.Keys))
-		for i, k := range res.Keys {
-			out.Keys[i] = int64(k)
-		}
-	}
-	return out
 }
 
 // memMetrics is the allocation-health slice of runtime.MemStats exposed
@@ -406,26 +379,11 @@ func requireGet(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-// readJSON decodes a POST body into dst, answering malformed requests
-// with JSON error bodies and the appropriate status code.
-func readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return false
-	}
-	if err := json.NewDecoder(r.Body).Decode(dst); err != nil {
-		writeError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
-		return false
-	}
-	return true
-}
-
-// writeJSON writes v as the JSON response body with the given status.
+// writeJSON writes v as the JSON response body with the given status,
+// byte for byte as json.Encoder renders it.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	b, _ := json.Marshal(v) // the service's own types always marshal
+	writeBody(w, status, &b)
 }
 
 // writeError writes the service's uniform JSON error body.

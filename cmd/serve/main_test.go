@@ -412,11 +412,11 @@ func TestServeChaosInjectValidation(t *testing.T) {
 		body   string
 		status int
 	}{
-		{`{"dim":4}`, http.StatusBadRequest},                                  // no casualty
-		{`{"dim":4,"kill_node":1,"kill_link":[0,1]}`, http.StatusBadRequest},  // both casualties
-		{`{"dim":4,"model":"bogus","kill_node":1}`, http.StatusBadRequest},    // bad enum
-		{`{"dim":40,"kill_node":1}`, http.StatusUnprocessableEntity},          // dimension out of range
-		{`{"dim":3,"kill_link":[0,3]}`, http.StatusUnprocessableEntity},       // not a hypercube edge
+		{`{"dim":4}`, http.StatusBadRequest},                                     // no casualty
+		{`{"dim":4,"kill_node":1,"kill_link":[0,1]}`, http.StatusBadRequest},     // both casualties
+		{`{"dim":4,"model":"bogus","kill_node":1}`, http.StatusBadRequest},       // bad enum
+		{`{"dim":40,"kill_node":1}`, http.StatusUnprocessableEntity},             // dimension out of range
+		{`{"dim":3,"kill_link":[0,3]}`, http.StatusUnprocessableEntity},          // not a hypercube edge
 		{`{"dim":3,"faults":[2],"kill_node":2}`, http.StatusUnprocessableEntity}, // victim already faulty
 	}
 	for i, c := range cases {

@@ -121,18 +121,11 @@ func (c *Ctx) exchangeSplitHalf(peer cube.NodeID, tag1, tag2 machine.Tag, keepLo
 	c.P.Compute(k - 1)
 }
 
-// sortBitonicRuns sorts a sequence consisting of at most two monotone
-// runs (ascending-then-descending or descending-then-ascending) into
-// ascending order with a single merge — the paper's Step 7(c).
-func sortBitonicRuns(xs []sortutil.Key) []sortutil.Key {
-	if len(xs) <= 1 {
-		return xs
-	}
-	return sortBitonicRunsInto(make([]sortutil.Key, len(xs)), xs)
-}
-
-// sortBitonicRunsInto is sortBitonicRuns writing the result into dst
-// (capacity >= len(xs), no aliasing with xs); it returns the filled dst.
+// sortBitonicRunsInto sorts a sequence consisting of at most two
+// monotone runs (ascending-then-descending or descending-then-ascending)
+// into ascending order with a single merge — the paper's Step 7(c). It
+// writes the result into dst (capacity >= len(xs), no aliasing with xs)
+// and returns the filled dst.
 // xs may be mutated (runs are normalized to ascending in place before
 // the merge) — callers ping-pong it against dst as the next scratch.
 func sortBitonicRunsInto(dst, xs []sortutil.Key) []sortutil.Key {

@@ -21,6 +21,14 @@ func TestProtocolString(t *testing.T) {
 	}
 }
 
+// sortBitonicRuns is sortBitonicRunsInto with a fresh destination.
+func sortBitonicRuns(xs []sortutil.Key) []sortutil.Key {
+	if len(xs) <= 1 {
+		return xs
+	}
+	return sortBitonicRunsInto(make([]sortutil.Key, len(xs)), xs)
+}
+
 func TestSortBitonicRuns(t *testing.T) {
 	cases := [][]sortutil.Key{
 		{},

@@ -114,9 +114,3 @@ func (r *ring) successors(h uint64, n int, dst []int) []int {
 	}
 	return dst
 }
-
-// owner returns the shard owning hash h.
-func (r *ring) owner(h uint64) int {
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].h >= h })
-	return r.points[start%len(r.points)].shard
-}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync/atomic"
 	"testing"
 
@@ -12,6 +13,12 @@ import (
 	"hypersort/internal/machine"
 	"hypersort/internal/obs"
 )
+
+// owner returns the shard owning hash h.
+func (r *ring) owner(h uint64) int {
+	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].h >= h })
+	return r.points[start%len(r.points)].shard
+}
 
 // testKeys returns a deterministic spread of hash points standing in for
 // plan-key fingerprints.
