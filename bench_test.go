@@ -1,6 +1,7 @@
 // Benchmarks regenerating the paper's evaluation artifacts, one per table
 // and figure (reduced trial counts keep `go test -bench=.` quick; the
-// full-scale sweeps live in cmd/table1, cmd/table2 and cmd/fig7):
+// full-scale sweeps are cmd/reproduce and its table1, table2 and fig7
+// subcommands):
 //
 //	BenchmarkTable1Partition   — Table 1, mincut distribution
 //	BenchmarkTable2Utilization — Table 2, processor utilization

@@ -28,12 +28,15 @@ func main() {
 	)
 	flag.Parse()
 
+	h, err := cli.Hypercube(*n)
+	if err != nil {
+		fatal(err)
+	}
 	list, err := cli.ParseNodeList(*faultsF)
 	if err != nil {
 		fatal(err)
 	}
 	faults := cube.NewNodeSet(list...)
-	h := cube.New(*n)
 	if len(faults) > *n {
 		fatal(fmt.Errorf("%d faults exceed the one-step diagnosability bound t = n = %d", len(faults), *n))
 	}

@@ -1,11 +1,12 @@
 package main
 
 // This file holds the documentation-contract checks that tie the
-// Markdown docs to the code and to each other: the serve flag surface
-// and the experiment-ID namespace. Both are cross-file invariants that
-// godoc-style linting cannot see, and both have drifted in the past —
-// flags added to cmd/serve without operator docs, experiment IDs cited
-// in prose with no section behind them.
+// Markdown docs to the code and to each other: the serve flag surface,
+// the command paths and the experiment-ID namespace. All three are
+// cross-file invariants that godoc-style linting cannot see, and all
+// have drifted in the past — flags added to cmd/serve without operator
+// docs, usage lines for deleted commands, experiment IDs cited in prose
+// with no section behind them.
 
 import (
 	"fmt"
@@ -138,6 +139,37 @@ func declaredFlags(path string) (map[string]bool, error) {
 		return true
 	})
 	return names, nil
+}
+
+// cmdPath matches a command path as the docs cite it: `cmd/name`, or
+// `./cmd/name` in a `go run` line. A path char before "cmd" (as in
+// `bench/cmd/x` or a URL) means it is some other tree's directory.
+var cmdPath = regexp.MustCompile(`(?:^|[^A-Za-z0-9_./-])(?:\./)?cmd/([A-Za-z0-9_-]+)`)
+
+// cmdDocFiles are the Markdown files that describe the current tree.
+// CHANGES.md and ROADMAP.md are history and plan: they name commands
+// that are gone or not yet written.
+var cmdDocFiles = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "OBSERVABILITY.md", "bench/README.md"}
+
+// LintCommandPaths checks that every cmd/<name> the docs cite is a
+// directory under root's cmd/, so a deleted or renamed command cannot
+// linger in a usage line. Missing doc files are skipped.
+func LintCommandPaths(root string) []string {
+	var findings []string
+	for _, name := range cmdDocFiles {
+		data, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(name)))
+		if err != nil {
+			continue
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, m := range cmdPath.FindAllStringSubmatch(line, -1) {
+				if fi, err := os.Stat(filepath.Join(root, "cmd", m[1])); err != nil || !fi.IsDir() {
+					findings = append(findings, fmt.Sprintf("%s:%d: cmd/%s is not a command directory", name, i+1, m[1]))
+				}
+			}
+		}
+	}
+	return findings
 }
 
 // expID matches an experiment ID or ID range: E7, E3-E6, E8–E16 (both

@@ -10,6 +10,8 @@
 //   - every flag declared by cmd/serve is documented in README.md or
 //     OBSERVABILITY.md, and every flag listed under OBSERVABILITY.md's
 //     "Running the service" heading is actually declared;
+//   - every cmd/<name> cited in README.md, DESIGN.md, EXPERIMENTS.md,
+//     OBSERVABILITY.md or bench/README.md is a directory under cmd/;
 //   - every experiment ID (E1, E24, ranges like E3-E6) referenced in
 //     the repository docs resolves to a unique EXPERIMENTS.md heading,
 //     and every heading is cited from CHANGES.md or DESIGN.md;
@@ -63,6 +65,7 @@ func Lint(root string) []string {
 	findings = append(findings, LintGoDocs(root)...)
 	findings = append(findings, LintMarkdownLinks(root)...)
 	findings = append(findings, LintServeFlags(root)...)
+	findings = append(findings, LintCommandPaths(root)...)
 	findings = append(findings, LintExperimentIDs(root)...)
 	findings = append(findings, LintDeadExports(root)...)
 	findings = append(findings, LintDesignIdents(root)...)

@@ -183,6 +183,36 @@ Mentions of ` + "`-unrelated`" + ` outside the flag section are fine.
 	}
 }
 
+// TestLintCommandPaths plants stale command paths in the docs: a
+// deleted command in backticks and in a `go run` line is reported,
+// while live commands, other trees' cmd/ directories, `./cmd/...`
+// and the history files are left alone.
+func TestLintCommandPaths(t *testing.T) {
+	dir := t.TempDir()
+	writeTree(t, dir, map[string]string{
+		"cmd/live/main.go": "package main\n\nfunc main() {}\n",
+		"README.md": "Run `cmd/live` or `go run ./cmd/live -n 3`; build with `go build ./cmd/...`.\n" +
+			"The old `cmd/gone` is deleted.\n",
+		"EXPERIMENTS.md":  "```\ngo run ./cmd/stale -which e9\n```\nSee github.com/x/cmd/other and bench/cmd/tool.\n",
+		"CHANGES.md":      "Deleted `cmd/gone`.\n",
+		"ROADMAP.md":      "Add `cmd/planned`.\n",
+		"bench/README.md": "Builds cmd/live.\n",
+	})
+	findings := LintCommandPaths(dir)
+	wants := []string{
+		"README.md:2: cmd/gone is not a command directory",
+		"EXPERIMENTS.md:2: cmd/stale is not a command directory",
+	}
+	for _, w := range wants {
+		if !anyContains(findings, w) {
+			t.Errorf("missing finding %q in %v", w, findings)
+		}
+	}
+	if len(findings) != len(wants) {
+		t.Errorf("got %d findings, want %d: %v", len(findings), len(wants), findings)
+	}
+}
+
 // TestLintExperimentIDs proves the experiment-namespace checks with a
 // synthetic doc set: a duplicate heading ID, a dangling reference, and
 // an uncited heading are each reported; range syntax (hyphen and

@@ -29,13 +29,16 @@ func main() {
 	)
 	flag.Parse()
 
+	h, err := cli.Hypercube(*n)
+	if err != nil {
+		fatal(err)
+	}
 	list, err := cli.ParseNodeList(*faultsF)
 	if err != nil {
 		fatal(err)
 	}
 	faults := cube.NewNodeSet(list...)
 
-	h := cube.New(*n)
 	plan, err := partition.BuildPlan(*n, faults)
 	if err != nil {
 		fatal(err)

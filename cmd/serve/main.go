@@ -11,7 +11,6 @@
 //	serve -cluster-mode=shard -addr :9101
 //	serve -cluster-mode=proxy -shard-addrs host1:9101,host2:9101,host3:9101
 //	      [-replicas 1] [-spill-high-water 16] [-shed-limit 256]
-//	serve -demo [-requests 256] [-m 4000] [-seed 1]
 //
 // Each request takes one route: an eligible sort runs on the direct
 // substrate inline, everything else on a pooled simulated machine. When
@@ -78,12 +77,6 @@
 // keys; recovery latency and replan counters land on /metrics.
 //
 // See OBSERVABILITY.md for the full metric and trace reference.
-//
-// The -demo flag skips the network entirely and measures batch
-// throughput on synthetic traffic: the same requests served by fresh
-// per-call construction (plan search + machine build every time) versus
-// the warm engine (cached plans, pooled machines), printing both
-// wall-clock times and the speedup.
 package main
 
 import (
@@ -95,7 +88,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -106,8 +98,6 @@ import (
 	"hypersort/internal/obs"
 	"hypersort/internal/trace"
 	"hypersort/internal/transport"
-	"hypersort/internal/workload"
-	"hypersort/internal/xrand"
 )
 
 func main() {
@@ -127,10 +117,6 @@ func main() {
 		traceBuf    = flag.Int("trace-buf", 1<<16, "machine events kept for /v1/trace (0 disables tracing)")
 		traceSample = flag.Int("trace-sample", 1, "record 1 of every N machine events")
 		chaos       = flag.Bool("chaos", false, "enable the /v1/chaos fault-injection endpoints (live-fault drills)")
-		demo        = flag.Bool("demo", false, "run the offline batch-throughput demo and exit")
-		requests    = flag.Int("requests", 256, "demo: number of requests")
-		m           = flag.Int("m", 4000, "demo: keys per request")
-		seed        = flag.Uint64("seed", 1, "demo: workload seed")
 	)
 	flag.Parse()
 
@@ -153,9 +139,6 @@ func main() {
 	case "", "proxy", "shard":
 	default:
 		fatal(fmt.Errorf("unknown -cluster-mode %q (want shard, proxy, or empty)", *clusterMode))
-	}
-	if *clusterMode != "" && *demo {
-		fatal(errors.New("-demo measures the in-process amortization story; drop -cluster-mode"))
 	}
 	// The ring stays attached for the process lifetime: bounded memory,
 	// one atomic claim per event, and /v1/trace exports the most recent
@@ -191,11 +174,6 @@ func main() {
 		}, addrs)
 	} else {
 		eng = hypersort.NewEngine(ecfg)
-	}
-	if *demo {
-		defer eng.Close()
-		runDemo(eng, *requests, *m, *seed)
-		return
 	}
 
 	// Graceful shutdown: SIGINT/SIGTERM stops accepting, drains in-flight
@@ -292,69 +270,6 @@ func splitAddrs(s string) []string {
 		}
 	}
 	return addrs
-}
-
-// runDemo measures the engine's amortization win on synthetic traffic:
-// R requests round-robined over a handful of faulty configurations,
-// served fresh (New per call: plan search + machine build every time)
-// versus through the warm engine (SortBatch over cached plans and
-// pooled machines).
-func runDemo(eng *hypersort.Engine, requests, m int, seed uint64) {
-	configs := []hypersort.Config{
-		{Dim: 6, Faults: []hypersort.NodeID{3, 17, 40}},
-		{Dim: 7, Faults: []hypersort.NodeID{5, 29, 77, 101}},
-		{Dim: 8, Faults: []hypersort.NodeID{1, 64, 130, 200, 255, 17, 90}},
-		{Dim: 6, Faults: []hypersort.NodeID{0, 21, 42, 63}, Model: hypersort.Total},
-	}
-	rng := xrand.New(seed)
-	reqs := make([]hypersort.Request, requests)
-	for i := range reqs {
-		reqs[i] = hypersort.Request{
-			Config: configs[i%len(configs)],
-			Op:     hypersort.OpSort,
-			Keys:   workload.MustGenerate(workload.Uniform, m, rng),
-		}
-	}
-	fmt.Printf("demo: %d requests x %d keys over %d configurations\n", requests, m, len(configs))
-
-	start := time.Now()
-	for i, r := range reqs {
-		s, err := hypersort.New(r.Config)
-		if err != nil {
-			fatal(err)
-		}
-		if _, _, err := s.Sort(r.Keys); err != nil {
-			fatal(fmt.Errorf("request %d: %w", i, err))
-		}
-	}
-	fresh := time.Since(start)
-	fmt.Printf("fresh per-call (plan search + machine build every request): %v  (%.1f req/s)\n",
-		fresh.Round(time.Millisecond), float64(requests)/fresh.Seconds())
-
-	var before runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start = time.Now()
-	results := eng.SortBatch(reqs)
-	warm := time.Since(start)
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
-	for i, res := range results {
-		if res.Err != nil {
-			fatal(fmt.Errorf("request %d: %w", i, res.Err))
-		}
-	}
-	fmt.Printf("engine batch   (cached plans, pooled machines):             %v  (%.1f req/s)\n",
-		warm.Round(time.Millisecond), float64(requests)/warm.Seconds())
-	fmt.Printf("warm-path allocations: %.0f allocs/request (%.1f KiB/request)\n",
-		float64(after.Mallocs-before.Mallocs)/float64(requests),
-		float64(after.TotalAlloc-before.TotalAlloc)/float64(requests)/1024)
-	fmt.Printf("speedup: %.2fx\n", fresh.Seconds()/warm.Seconds())
-	mtr := eng.Metrics()
-	fmt.Printf("engine metrics: %d requests, %d plan searches (%d cache hits), %d machines built + %d cloned\n",
-		mtr.Requests, mtr.PlanMisses, mtr.PlanHits, mtr.MachinesBuilt, mtr.MachinesCloned)
-	agg := hypersort.SumStats(results)
-	fmt.Printf("simulated totals: critical-path makespan=%d comparisons=%d key-hops=%d\n",
-		agg.Makespan, agg.Comparisons, agg.KeyHops)
 }
 
 // parseRouting maps the -routing flag to the default routing policy.

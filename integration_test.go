@@ -78,8 +78,8 @@ func TestCLIIntegration(t *testing.T) {
 	})
 
 	t.Run("table1-json", func(t *testing.T) {
-		bin := buildTool(t, dir, "table1")
-		out := run(t, bin, "-trials", "50", "-max-n", "4", "-json")
+		bin := buildTool(t, dir, "reproduce")
+		out := run(t, bin, "table1", "-trials", "50", "-max-n", "4", "-json")
 		var rows []map[string]any
 		if err := json.Unmarshal([]byte(out), &rows); err != nil {
 			t.Fatalf("invalid JSON: %v\n%s", err, out)
@@ -90,17 +90,17 @@ func TestCLIIntegration(t *testing.T) {
 	})
 
 	t.Run("table2", func(t *testing.T) {
-		bin := buildTool(t, dir, "table2")
-		out := run(t, bin, "-trials", "50", "-max-n", "4")
+		bin := buildTool(t, dir, "reproduce")
+		out := run(t, bin, "table2", "-trials", "50", "-max-n", "4")
 		if !strings.Contains(out, "baseline worst") {
 			t.Errorf("table2 output:\n%s", out)
 		}
 	})
 
 	t.Run("fig7-svg-check", func(t *testing.T) {
-		bin := buildTool(t, dir, "fig7")
+		bin := buildTool(t, dir, "reproduce")
 		svgPath := filepath.Join(dir, "panel.svg")
-		out := run(t, bin, "-n", "4", "-ms", "8000,64000", "-trials", "2", "-check", "-svg", svgPath)
+		out := run(t, bin, "fig7", "-n", "4", "-ms", "8000,64000", "-trials", "2", "-check", "-svg", svgPath)
 		if !strings.Contains(out, "shape check: all of the paper's orderings hold") {
 			t.Errorf("fig7 shape check failed:\n%s", out)
 		}
@@ -114,8 +114,8 @@ func TestCLIIntegration(t *testing.T) {
 	})
 
 	t.Run("ablations", func(t *testing.T) {
-		bin := buildTool(t, dir, "ablations")
-		out := run(t, bin, "-which", "e8")
+		bin := buildTool(t, dir, "reproduce")
+		out := run(t, bin, "ablations", "-which", "e8")
 		if !strings.Contains(out, "E8") || !strings.Contains(out, "ratio") {
 			t.Errorf("ablations output:\n%s", out)
 		}

@@ -1,6 +1,6 @@
 // Package cli holds the small parsing helpers the command-line tools
-// share: comma-separated processor address lists, integer lists, and
-// fault-model / protocol names.
+// share: the -n dimension, comma-separated processor address lists,
+// integer lists, and fault-model / protocol names.
 package cli
 
 import (
@@ -12,6 +12,15 @@ import (
 	"hypersort/internal/cube"
 	"hypersort/internal/machine"
 )
+
+// Hypercube builds Q_n for a command's -n flag, reporting a dimension
+// outside [0, cube.MaxDim] as an error where cube.New would panic.
+func Hypercube(n int) (cube.Hypercube, error) {
+	if n < 0 || n > cube.MaxDim {
+		return cube.Hypercube{}, fmt.Errorf("dimension %d outside [0,%d]", n, cube.MaxDim)
+	}
+	return cube.New(n), nil
+}
 
 // ParseNodeList parses a comma-separated list of processor addresses
 // ("3, 5,16"); an empty or blank string yields nil.

@@ -176,6 +176,41 @@ func TestFig7Validation(t *testing.T) {
 	}
 }
 
+// TestConfigValidation pins the parameters the sweeps refuse rather
+// than tabulating nonsense: negative trial counts (an empty Table 1,
+// a 200% worst case in Table 2, zero makespans in Figure 7), inverted
+// dimension ranges, and dimensions the cube cannot build. Zero still
+// means the default.
+func TestConfigValidation(t *testing.T) {
+	table1 := func(c Table1Config) error { _, err := Table1(c); return err }
+	table2 := func(c Table2Config) error { _, err := Table2(c); return err }
+	fig7 := func(c Fig7Config) error { _, err := Fig7(c); return err }
+	for _, tc := range []struct {
+		name string
+		err  error
+		want string // "" accepts
+	}{
+		{"table1 negative trials", table1(Table1Config{Trials: -5}), "trials -5 is negative"},
+		{"table1 max above MaxDim", table1(Table1Config{MaxN: 30}), "outside [0,24]"},
+		{"table1 negative min", table1(Table1Config{MinN: -1, MaxN: 3}), "outside [0,24]"},
+		{"table1 inverted range", table1(Table1Config{MinN: 5, MaxN: 4}), "exceeds largest"},
+		{"table1 zero trials is the default", table1(Table1Config{MinN: 3, MaxN: 3}), ""},
+		{"table2 negative trials", table2(Table2Config{Trials: -5}), "trials -5 is negative"},
+		{"table2 max above MaxDim", table2(Table2Config{MinN: 3, MaxN: 25, Trials: 1}), "outside [0,24]"},
+		{"table2 inverted range", table2(Table2Config{MinN: 7, MaxN: 6}), "exceeds largest"},
+		{"table2 zero trials is the default", table2(Table2Config{MinN: 3, MaxN: 3}), ""},
+		{"fig7 negative trials", fig7(Fig7Config{N: 3, TrialsPerPoint: -1}), "trials per point -1 is negative"},
+		{"fig7 zero trials is the default", fig7(Fig7Config{N: 2, Ms: []int{64}}), ""},
+	} {
+		switch {
+		case tc.want == "" && tc.err != nil:
+			t.Errorf("%s: %v", tc.name, tc.err)
+		case tc.want != "" && (tc.err == nil || !strings.Contains(tc.err.Error(), tc.want)):
+			t.Errorf("%s: error %v, want one containing %q", tc.name, tc.err, tc.want)
+		}
+	}
+}
+
 // TestFig7ShapeQ5 is the headline Figure 7 reproduction at reduced
 // scale: on Q_5, at the top of the paper's M range, the proposed
 // algorithm with r = 1..2 must beat the fault-free Q_4 baseline and

@@ -44,6 +44,7 @@ type Fig7Config struct {
 	// TrialsPerPoint averages each "ours" point over this many random
 	// fault placements (the paper used 10000 placements; the default 5
 	// keeps the harness quick while the seed keeps it reproducible).
+	// Zero means the default; a negative count is an error.
 	TrialsPerPoint int
 	// BaselineDims lists fault-free subcube sizes to plot; zero means
 	// n-1 down to max(n-3, 1).
@@ -59,6 +60,9 @@ func (c *Fig7Config) fill() error {
 	}
 	if len(c.Ms) == 0 {
 		c.Ms = DefaultMs()
+	}
+	if c.TrialsPerPoint < 0 {
+		return fmt.Errorf("experiments: Fig7 trials per point %d is negative", c.TrialsPerPoint)
 	}
 	if c.TrialsPerPoint == 0 {
 		c.TrialsPerPoint = 5

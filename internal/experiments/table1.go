@@ -28,20 +28,39 @@ type Table1Row struct {
 }
 
 // Table1Config parameterizes the sweep. The zero value is completed by
-// Table1 with the paper's ranges (n = 3..6, r = 2..n-1, 10000 trials).
+// Table1 with the paper's ranges (n = 3..6, r = 2..n-1, 10000 trials);
+// negative trials, an inverted range and dimensions outside
+// [0, cube.MaxDim] are errors.
 type Table1Config struct {
 	MinN, MaxN int
 	Trials     int
 	Seed       uint64
 }
 
-func (c *Table1Config) fill() {
+func (c *Table1Config) fill() error {
 	if c.MaxN == 0 {
 		c.MinN, c.MaxN = 3, 6
 	}
 	if c.Trials == 0 {
 		c.Trials = 10000
 	}
+	return checkSweep(c.MinN, c.MaxN, c.Trials)
+}
+
+// checkSweep rejects a Table 1 or Table 2 sweep that cannot be
+// tabulated: a negative trial count, a dimension outside the cube's
+// supported range, or a range whose smallest dimension exceeds its
+// largest.
+func checkSweep(minN, maxN, trials int) error {
+	switch {
+	case trials < 0:
+		return fmt.Errorf("experiments: trials %d is negative", trials)
+	case minN < 0 || maxN > cube.MaxDim:
+		return fmt.Errorf("experiments: dimensions %d..%d outside [0,%d]", minN, maxN, cube.MaxDim)
+	case minN > maxN:
+		return fmt.Errorf("experiments: smallest dimension %d exceeds largest %d", minN, maxN)
+	}
+	return nil
 }
 
 // Table1 reproduces the paper's Table 1: for each n and each fault count
@@ -49,7 +68,9 @@ func (c *Table1Config) fill() {
 // distribution of the partition algorithm's mincut value. (r = 0 and 1
 // need no cut, so like the paper we start at r = 2.)
 func Table1(cfg Table1Config) ([]Table1Row, error) {
-	cfg.fill()
+	if err := cfg.fill(); err != nil {
+		return nil, err
+	}
 	rng := xrand.New(cfg.Seed)
 	var rows []Table1Row
 	for n := cfg.MinN; n <= cfg.MaxN; n++ {

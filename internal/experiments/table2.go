@@ -26,27 +26,31 @@ type Table2Row struct {
 }
 
 // Table2Config parameterizes the sweep; zero values take the paper's
-// ranges (n = 3..6, r = 1..n-1, 10000 trials).
+// ranges (n = 3..6, r = 1..n-1, 10000 trials), and out-of-range values
+// are errors as for Table1Config.
 type Table2Config struct {
 	MinN, MaxN int
 	Trials     int
 	Seed       uint64
 }
 
-func (c *Table2Config) fill() {
+func (c *Table2Config) fill() error {
 	if c.MaxN == 0 {
 		c.MinN, c.MaxN = 3, 6
 	}
 	if c.Trials == 0 {
 		c.Trials = 10000
 	}
+	return checkSweep(c.MinN, c.MaxN, c.Trials)
 }
 
 // Table2 reproduces the paper's Table 2: utilization of the proposed
 // partition algorithm versus the maximum fault-free subcube method over
 // random fault placements.
 func Table2(cfg Table2Config) ([]Table2Row, error) {
-	cfg.fill()
+	if err := cfg.fill(); err != nil {
+		return nil, err
+	}
 	rng := xrand.New(cfg.Seed)
 	var rows []Table2Row
 	for n := cfg.MinN; n <= cfg.MaxN; n++ {
