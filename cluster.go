@@ -70,7 +70,7 @@ func NewRemoteCluster(cfg ClusterConfig, addrs []string) *Engine {
 	}
 	backends := make([]cluster.Backend, len(addrs))
 	for i, addr := range addrs {
-		backends[i] = cluster.NewRemoteShard(transport.NewClient(addr, transport.ClientOptions{}))
+		backends[i] = transport.NewClient(addr, transport.ClientOptions{})
 	}
 	c := cluster.NewWithBackends(opts, backends)
 	c.Instrument(obs.Default())

@@ -18,12 +18,12 @@ import (
 	"os"
 	"sort"
 
-	"hypersort"
 	"hypersort/internal/cli"
 	"hypersort/internal/core"
 	"hypersort/internal/cube"
+	"hypersort/internal/engine"
 	"hypersort/internal/machine"
-	"hypersort/internal/partition"
+	"hypersort/internal/sortutil"
 	"hypersort/internal/trace"
 	"hypersort/internal/workload"
 	"hypersort/internal/xrand"
@@ -60,9 +60,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var linkPairs [][2]hypersort.NodeID
+	var linkPairs [][2]cube.NodeID
 	for _, e := range linkSet.Sorted() {
-		linkPairs = append(linkPairs, [2]hypersort.NodeID{e.A, e.B})
+		linkPairs = append(linkPairs, [2]cube.NodeID{e.A, e.B})
 	}
 	fm, err := cli.ParseFaultModel(*model)
 	if err != nil {
@@ -73,35 +73,34 @@ func main() {
 		fatal(err)
 	}
 
+	// One plan, one machine and one run serve every flag combination:
+	// -steps only adds the step hook to the run the other flags built.
 	var rec *trace.Recorder
-	cfg := hypersort.Config{
-		Dim:                 *n,
-		Faults:              faults,
-		LinkFaults:          linkPairs,
-		Model:               fm,
-		Cost:                hypersort.CostModel{Compare: hypersort.Time(*tc), Elem: hypersort.Time(*tsr), Startup: hypersort.Time(*startup)},
-		Protocol:            protocol,
-		AccountDistribution: *distrib,
-	}
+	var hook machine.TraceFunc
 	if *traceN > 0 {
 		rec = trace.NewRecorder()
-		cfg.Trace = rec.Record
+		hook = rec.Record
 	}
-	s, err := hypersort.New(cfg)
+	plan, mach, err := engine.Prepare(engine.Config{
+		Dim:        *n,
+		Faults:     faults,
+		LinkFaults: linkPairs,
+		Model:      fm,
+		Cost:       machine.CostModel{Compare: machine.Time(*tc), Elem: machine.Time(*tsr), Startup: machine.Time(*startup)},
+	}, hook)
 	if err != nil {
 		fatal(err)
 	}
 
 	if !*quiet {
-		p := s.Partition()
 		fmt.Printf("Q_%d, %d fault(s) %v, fault model %s\n", *n, len(faults), faults, *model)
 		fmt.Printf("partition: mincut=%d |Ψ|=%d chosen=%v extra-comm=%d\n",
-			p.Mincut, len(p.CuttingSet), p.Chosen, p.ExtraComm)
+			plan.Mincut(), len(plan.Set.Sequences), []int(plan.Chosen), plan.ExtraComm)
 		fmt.Printf("working processors: %d  dangling: %v  utilization: %.1f%%\n",
-			p.Working, p.Dangling, 100*p.Utilization)
+			plan.Working(), plan.Dangling, 100*plan.Utilization())
 	}
 
-	var keys []hypersort.Key
+	var keys []sortutil.Key
 	if *inFile != "" {
 		keys, err = readKeys(*inFile)
 		if err != nil {
@@ -113,36 +112,19 @@ func main() {
 			fatal(err)
 		}
 	}
-	var sorted []hypersort.Key
-	var stats hypersort.Stats
+	opts := core.Options{Protocol: protocol, AccountDistribution: *distrib}
+	var states *core.StateRecorder
 	if *steps {
-		// Drop to the core API for the step hook; the facade covers the
-		// common path.
-		faultSet := cube.NewNodeSet(faults...)
-		plan, err := partition.BuildPlan(*n, faultSet)
-		if err != nil {
-			fatal(err)
-		}
-		mach, err := machine.New(machine.Config{Dim: *n, Faults: faultSet, Model: fm, LinkFaults: linkSet,
-			Cost: machine.CostModel{Compare: machine.Time(*tc), Elem: machine.Time(*tsr), Startup: machine.Time(*startup)}})
-		if err != nil {
-			fatal(err)
-		}
-		rec := core.NewStateRecorder()
-		var res machine.Result
-		sorted, res, err = core.FTSortOpt(mach, plan, keys, core.Options{StepHook: rec.Record})
-		if err != nil {
-			fatal(err)
-		}
-		stats = hypersort.Stats{Makespan: int64(res.Makespan), Messages: res.Messages,
-			KeysSent: res.KeysSent, KeyHops: res.KeyHops, Comparisons: res.Comparisons}
-		for _, snap := range rec.Snapshots() {
+		states = core.NewStateRecorder()
+		opts.StepHook = states.Record
+	}
+	sorted, stats, err := core.FTSortOpt(mach, plan, keys, opts)
+	if err != nil {
+		fatal(err)
+	}
+	if states != nil {
+		for _, snap := range states.Snapshots() {
 			fmt.Print(snap.Format())
-		}
-	} else {
-		sorted, stats, err = s.Sort(keys)
-		if err != nil {
-			fatal(err)
 		}
 	}
 	if !sort.SliceIsSorted(sorted, func(i, j int) bool { return sorted[i] < sorted[j] }) {
@@ -164,7 +146,7 @@ func main() {
 		fmt.Print(trace.Analyze(events).Summary())
 	}
 	if *est {
-		t, err := s.EstimatedTime(*m)
+		t, err := core.CostEstimate(*m, plan.Cube.Dim(), plan.Mincut(), plan.HasDead, mach.Cost())
 		if err != nil {
 			fatal(err)
 		}

@@ -30,6 +30,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"hypersort/internal/cli"
@@ -352,15 +353,26 @@ func fig7(fs *flag.FlagSet, as []artefact) func(io.Writer) error {
 }
 
 // ablations prints the studies -which names, in E8-E16 order, at the
-// full run's parameters.
+// full run's parameters. A -which name that is no study, an empty one
+// included, is a bad flag value.
 func ablations(fs *flag.FlagSet, as []artefact) func(io.Writer) error {
 	seed := fs.Uint64("seed", 1992, "random seed")
-	which := fs.String("which", "e8,e9,e10,e11,e12,e13,e14,e15,e16", "comma-separated studies to run")
-	return func(w io.Writer) error {
-		want := map[string]bool{}
-		for _, id := range strings.Split(*which, ",") {
-			want[strings.TrimSpace(strings.ToLower(id))] = true
+	want := map[string]bool{}
+	for _, a := range as {
+		want[a.id] = true
+	}
+	fs.Func("which", "comma-separated studies to run (default e8,e9,e10,e11,e12,e13,e14,e15,e16)", func(list string) error {
+		clear(want)
+		for _, id := range strings.Split(list, ",") {
+			id = strings.TrimSpace(strings.ToLower(id))
+			if !slices.ContainsFunc(as, func(a artefact) bool { return a.id == id }) {
+				return fmt.Errorf("unknown study %q (want e8 to e16)", id)
+			}
+			want[id] = true
 		}
+		return nil
+	})
+	return func(w io.Writer) error {
 		for _, a := range as {
 			if !want[a.id] {
 				continue

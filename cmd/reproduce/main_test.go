@@ -133,6 +133,9 @@ func TestBadInvocations(t *testing.T) {
 		{[]string{"table1", "-max-n", "30"}, 1, "reproduce table1: experiments: dimensions 3..30 outside [0,24]"},
 		{[]string{"fig7", "-n", "3", "-trials", "-1"}, 1, "reproduce fig7: experiments: Fig7 trials per point -1 is negative"},
 		{[]string{"fig7", "-ms", "0"}, 1, "reproduce fig7: integer 0 must be positive"},
+		{[]string{"ablations", "-which", "e17"}, 2, `reproduce ablations: invalid value "e17" for flag -which: unknown study "e17"`},
+		{[]string{"ablations", "-which", ""}, 2, `reproduce ablations: invalid value "" for flag -which: unknown study ""`},
+		{[]string{"ablations", "-which", "e9,,e10"}, 2, `reproduce ablations: invalid value "e9,,e10" for flag -which: unknown study ""`},
 	} {
 		code, stdout, stderr := runCmd(tc.args...)
 		if code != tc.code || stdout != "" || strings.Count(stderr, "\n") != 1 || !strings.HasPrefix(stderr, tc.want) {

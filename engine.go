@@ -44,10 +44,10 @@ type EngineConfig struct {
 
 	// Mode selects the execution substrate. ModeSim (the default) runs
 	// every request on the simulated machine with measured Stats.
-	// ModeDirect serves eligible sorts (full-block protocol, no
-	// distribution accounting) at host speed with analytically predicted
-	// Stats — bit-identical sorted output, no simulated machinery — and
-	// falls back to the simulator for everything else, including any
+	// ModeDirect serves eligible sorts (single-path routing) at host
+	// speed with analytically predicted Stats — bit-identical sorted
+	// output, no simulated machinery — and falls back to the simulator
+	// for everything else: selection ops, RouteMultipath, and any
 	// configuration with chaos injections armed. ModeAuto is ModeDirect
 	// unless Trace is set (direct runs emit no machine events).
 	Mode ExecMode
@@ -120,10 +120,11 @@ type LinkDiedError = machine.LinkDiedError
 // and only the accessors Metrics, ClusterMetrics, QueueWaitHint and
 // Partition tell the two backends apart.
 //
-// Limitations: Config.Trace is rejected — a per-run event hook cannot be
-// cached or pooled; use a dedicated Sorter to trace a run. Plan-search
-// failures (inseparable fault sets) are cached like successes, so
-// retrying a doomed configuration is cheap.
+// Limitations: the Sorter-only options — Config.Trace, the HalfExchange
+// protocol and AccountDistribution — are rejected with ErrSorterOnly;
+// use a dedicated Sorter for them. Plan-search failures (inseparable
+// fault sets) are cached like successes, so retrying a doomed
+// configuration is cheap.
 type Engine struct {
 	eng *engine.Engine   // the in-process engine; nil on a proxy
 	cl  *cluster.Cluster // the router over shard processes; nil on an engine
@@ -180,7 +181,8 @@ const (
 // operation, and its operands. Requests in one batch are independent and
 // may freely mix configurations.
 type Request struct {
-	// Config is the machine configuration; Config.Trace must be nil.
+	// Config is the machine configuration; it must set no Sorter-only
+	// option (see ErrSorterOnly).
 	Config Config
 	// Op selects the computation (default OpSort).
 	Op Op
@@ -264,12 +266,12 @@ func (e *Engine) QueueWaitHint() int64 {
 // Sorter. On a proxy it always fails: the plans live in the shard
 // processes, and the wire protocol does not carry them.
 func (e *Engine) Partition(cfg Config) (Partition, error) {
-	if e.cl != nil {
-		return Partition{}, errProxyPartition
-	}
 	ecfg, err := engineConfig(cfg)
 	if err != nil {
 		return Partition{}, err
+	}
+	if e.cl != nil {
+		return Partition{}, errProxyPartition
 	}
 	plan, err := e.eng.Plan(ecfg)
 	if err != nil {
@@ -395,22 +397,40 @@ func resultOf(r engine.Result) Result {
 	return Result{Keys: r.Keys, Value: r.Value, Stats: statsOf(r.Res), Direct: r.Direct, Err: r.Err}
 }
 
+// ErrSorterOnly is found (via errors.Is) in the error of every Engine
+// method given a Config that sets a Sorter-only option: a Trace hook,
+// the HalfExchange protocol or AccountDistribution. The engine rejects
+// them on an in-process engine and on a proxy alike, before the request
+// is dispatched. A per-run hook cannot be cached or pooled, and the other
+// two are simulator semantics of the paper's reproduction, which the
+// serving path does not carry; use a Sorter for all three.
+var ErrSorterOnly = errors.New("hypersort: Sorter-only option")
+
 // engineConfig converts the public Config, rejecting what an engine
 // cannot serve.
 func engineConfig(cfg Config) (engine.Config, error) {
-	if cfg.Trace != nil {
-		return engine.Config{}, fmt.Errorf("hypersort: Engine does not support Config.Trace; use a Sorter to trace a run")
+	switch {
+	case cfg.Trace != nil:
+		return engine.Config{}, fmt.Errorf("%w: Engine does not support Config.Trace; use a Sorter to trace a run", ErrSorterOnly)
+	case cfg.Protocol != FullBlock:
+		return engine.Config{}, fmt.Errorf("%w: Engine serves only the FullBlock protocol; use a Sorter for protocol %v", ErrSorterOnly, cfg.Protocol)
+	case cfg.AccountDistribution:
+		return engine.Config{}, fmt.Errorf("%w: Engine does not support AccountDistribution; use a Sorter to account the host scatter/gather", ErrSorterOnly)
 	}
+	return toEngine(cfg), nil
+}
+
+// toEngine is the engine's view of cfg: everything but the Sorter-only
+// options.
+func toEngine(cfg Config) engine.Config {
 	return engine.Config{
-		Dim:                 cfg.Dim,
-		Faults:              cfg.Faults,
-		LinkFaults:          cfg.LinkFaults,
-		Model:               cfg.Model,
-		Cost:                cfg.Cost,
-		Protocol:            cfg.Protocol,
-		AccountDistribution: cfg.AccountDistribution,
-		Routing:             cfg.Routing,
-	}, nil
+		Dim:        cfg.Dim,
+		Faults:     cfg.Faults,
+		LinkFaults: cfg.LinkFaults,
+		Model:      cfg.Model,
+		Cost:       cfg.Cost,
+		Routing:    cfg.Routing,
+	}
 }
 
 // SumStats aggregates a batch's statistics: work counters sum over the

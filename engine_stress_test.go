@@ -32,10 +32,9 @@ func TestEngineStress(t *testing.T) {
 		{Dim: 5, Faults: []NodeID{3, 17}, Model: Total},
 		{Dim: 5, Faults: []NodeID{0, 12, 25, 31}},
 		{Dim: 6, Faults: []NodeID{0, 21, 42}, Cost: DefaultCostModel()},
-		// The half-exchange wire protocol doubles the messages per
-		// compare-exchange and releases two payloads per round — the
-		// heaviest user of the recycler.
-		{Dim: 5, Faults: []NodeID{7, 19}, Protocol: HalfExchange},
+		// Multipath routing stripes large compare-split transfers
+		// across disjoint paths, one pooled payload per stripe.
+		{Dim: 5, Faults: []NodeID{7, 19}, Routing: RouteMultipath},
 	}
 	eng := NewEngine(EngineConfig{PoolSize: 2, BatchWorkers: 8})
 

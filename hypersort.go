@@ -26,12 +26,11 @@
 package hypersort
 
 import (
-	"fmt"
-
 	"hypersort/internal/bitonic"
 	"hypersort/internal/core"
 	"hypersort/internal/cube"
 	"hypersort/internal/diagnosis"
+	"hypersort/internal/engine"
 	"hypersort/internal/machine"
 	"hypersort/internal/partition"
 	"hypersort/internal/selection"
@@ -113,20 +112,25 @@ type Config struct {
 	Model FaultModel
 	// Cost is the simulator cost model (default PaperCostModel).
 	Cost CostModel
-	// Protocol is the compare-exchange wire protocol (default FullBlock).
+	// Protocol is the compare-exchange wire protocol (default
+	// FullBlock). HalfExchange is Sorter-only: an Engine rejects it
+	// with ErrSorterOnly.
 	Protocol Protocol
 	// LinkFaults lists dead links as endpoint pairs; messages route
 	// around them (the paper's "faulty processors/links" model).
 	LinkFaults [][2]NodeID
 	// AccountDistribution includes the host scatter/gather of keys in
 	// the simulated time (the paper's cost model excludes it).
+	// Sorter-only: an Engine rejects it with ErrSorterOnly.
 	AccountDistribution bool
 	// Routing selects the compare-split routing policy (default
 	// RouteECube, the paper's hop-priced dimension-order discipline).
 	Routing RoutingPolicy
 	// Trace, if non-nil, receives every simulator event during Sort; it
 	// is called concurrently from processor goroutines and must be safe
-	// for concurrent use (see internal/trace.Recorder).
+	// for concurrent use (see internal/trace.Recorder). Sorter-only: an
+	// Engine rejects it with ErrSorterOnly (see EngineConfig.Trace for
+	// the engine-wide hook).
 	Trace func(TraceEvent)
 }
 
@@ -182,44 +186,10 @@ type Sorter struct {
 }
 
 // New validates the configuration, runs the partition algorithm, and
-// builds the simulated machine.
+// builds the simulated machine — through the same checks, objective
+// choice and machine construction an Engine applies to each request.
 func New(cfg Config) (*Sorter, error) {
-	if cfg.Dim < 0 || cfg.Dim > cube.MaxDim {
-		return nil, fmt.Errorf("hypersort: dimension %d outside [0,%d]", cfg.Dim, cube.MaxDim)
-	}
-	faults := cube.NewNodeSet(cfg.Faults...)
-	for _, f := range cfg.Faults {
-		if !cube.New(cfg.Dim).Contains(f) {
-			return nil, fmt.Errorf("hypersort: fault address %d outside Q_%d", f, cfg.Dim)
-		}
-	}
-	if len(faults) >= 1<<uint(cfg.Dim) {
-		return nil, fmt.Errorf("hypersort: %d faults leave no working processor on Q_%d", len(faults), cfg.Dim)
-	}
-	obj := partition.ObjectiveHops
-	if cfg.Routing == RouteMultipath {
-		obj = partition.ObjectiveCongestion
-	}
-	plan, err := partition.BuildPlanObjective(cfg.Dim, faults, obj)
-	if err != nil {
-		return nil, err
-	}
-	links := cube.NewEdgeSet()
-	for _, pair := range cfg.LinkFaults {
-		if cube.HammingDistance(pair[0], pair[1]) != 1 {
-			return nil, fmt.Errorf("hypersort: link fault %d-%d is not a hypercube edge", pair[0], pair[1])
-		}
-		links.Add(pair[0], pair[1])
-	}
-	mach, err := machine.New(machine.Config{
-		Dim:        cfg.Dim,
-		Faults:     faults,
-		Model:      cfg.Model,
-		Cost:       cfg.Cost,
-		LinkFaults: links,
-		Routing:    cfg.Routing,
-		Trace:      cfg.Trace,
-	})
+	plan, mach, err := engine.Prepare(toEngine(cfg), machine.TraceFunc(cfg.Trace))
 	if err != nil {
 		return nil, err
 	}

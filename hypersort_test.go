@@ -318,12 +318,53 @@ func TestEngineFacadeSortAndConcurrency(t *testing.T) {
 func TestEngineRejectsTrace(t *testing.T) {
 	eng := NewEngine(EngineConfig{})
 	cfg := Config{Dim: 3, Trace: func(TraceEvent) {}}
-	if _, _, err := eng.Sort(cfg, genKeys(10, 1)); err == nil {
-		t.Fatal("Engine accepted a Config.Trace")
+	if _, _, err := eng.Sort(cfg, genKeys(10, 1)); !errors.Is(err, ErrSorterOnly) {
+		t.Fatalf("Engine accepted a Config.Trace: err %v", err)
 	}
 	res := eng.SortBatch([]Request{{Config: cfg, Keys: genKeys(10, 1)}})
-	if res[0].Err == nil {
-		t.Fatal("SortBatch accepted a Config.Trace")
+	if !errors.Is(res[0].Err, ErrSorterOnly) {
+		t.Fatalf("SortBatch accepted a Config.Trace: err %v", res[0].Err)
+	}
+}
+
+// TestEngineRejectsSorterOnlyOptions pins that every Engine method, on
+// an in-process engine and on a proxy alike, refuses the half-exchange
+// protocol and distribution accounting with ErrSorterOnly before any
+// request is dispatched, while a Sorter still honours both.
+func TestEngineRejectsSorterOnlyOptions(t *testing.T) {
+	shard := engine.New(1, 1)
+	proxy := NewRemoteCluster(ClusterConfig{}, []string{startShard(t, shard)})
+	defer proxy.Close()
+	local := NewEngine(EngineConfig{})
+	keys := genKeys(32, 5)
+	for _, cfg := range []Config{
+		{Dim: 3, Faults: []NodeID{2}, Protocol: HalfExchange},
+		{Dim: 3, Faults: []NodeID{2}, AccountDistribution: true},
+	} {
+		if _, _, err := Sort(cfg, keys); err != nil {
+			t.Fatalf("Sorter refused %+v: %v", cfg, err)
+		}
+		for name, eng := range map[string]*Engine{"engine": local, "proxy": proxy} {
+			calls := map[string]error{
+				"Partition":    func() error { _, err := eng.Partition(cfg); return err }(),
+				"InjectFault":  eng.InjectFault(cfg, Injection{Kind: KillNode, Node: 5}),
+				"DisarmFaults": eng.DisarmFaults(cfg),
+				"SortBatch":    eng.SortBatch([]Request{{Config: cfg, Keys: keys}})[0].Err,
+			}
+			_, _, calls["Sort"] = eng.Sort(cfg, keys)
+			_, _, calls["TopK"] = eng.TopK(cfg, keys, 3)
+			for call, err := range calls {
+				if !errors.Is(err, ErrSorterOnly) {
+					t.Errorf("%s %s with %+v: err %v, want ErrSorterOnly", name, call, cfg, err)
+				}
+			}
+		}
+	}
+	if m := local.Metrics(); m.Requests != 0 || m.PlanMisses != 0 {
+		t.Errorf("engine saw rejected requests: %+v", m)
+	}
+	if cm, _ := proxy.ClusterMetrics(); cm.Requests != 0 || shard.Metrics().PlanMisses != 0 {
+		t.Errorf("rejected requests crossed the wire: router %d requests, shard %+v", cm.Requests, shard.Metrics())
 	}
 }
 

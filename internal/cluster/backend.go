@@ -2,10 +2,11 @@ package cluster
 
 // The router dispatches to shards through the Backend interface so the
 // same ring, spill, and shed machinery drives both shapes: shard
-// processes behind the wire protocol (RemoteShard, remote.go), which
-// serve, and in-process engine shards (localShard, this file), which
-// the tests and benchmarks use to exercise the router without sockets.
-// The routing layer is deliberately ignorant of which one it holds.
+// processes behind the wire protocol, which serve — a *transport.Client
+// is a Backend as it stands, one per shard process — and in-process
+// engine shards (localShard, this file), which the tests and benchmarks
+// use to exercise the router without sockets. The routing layer is
+// deliberately ignorant of which one it holds.
 
 import (
 	"context"

@@ -1,7 +1,8 @@
 // Package cluster is the router in front of shard processes: N
 // independent engines — each with its own plan cache and machine pools,
-// each in its own process behind the wire protocol (RemoteShard) — and
-// a front router that consistent-hashes requests by plan key, so
+// each in its own process behind the wire protocol, reached through a
+// transport.Client — and a front router that consistent-hashes
+// requests by plan key, so
 // traffic on one configuration keeps landing on one shard (one warm
 // plan cache, one warm pool). hypersort.NewRemoteCluster and
 // `serve -cluster-mode=proxy` build it with NewWithBackends.
@@ -231,7 +232,7 @@ func New(opts Options) *Cluster {
 }
 
 // NewWithBackends builds a cluster over caller-constructed backends —
-// the serving entry point (RemoteShard backends, one per shard process
+// the serving entry point (one transport.Client per shard process
 // address) and the seam tests use to substitute failing backends. Shard
 // IDs follow slice order, so the ring routes identically to an
 // in-process cluster of the same size: the ring hashes shard INDICES,

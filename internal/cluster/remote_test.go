@@ -1,9 +1,9 @@
 package cluster
 
-// Tests for the multi-process shape: RemoteShard backends over live
-// transport servers, with the headline acceptance check — a shard dying
-// mid-call loses ZERO non-shed requests, because the router reroutes
-// the failed call to the dead shard's ring successor.
+// Tests for the multi-process shape: transport.Client backends over
+// live transport servers, with the headline acceptance check — a shard
+// dying mid-call loses ZERO non-shed requests, because the router
+// reroutes the failed call to the dead shard's ring successor.
 
 import (
 	"net"
@@ -46,8 +46,8 @@ func (b *sortingBackend) DisarmFaults(engine.Config) error                      
 func (b *sortingBackend) Metrics() engine.Metrics                               { return engine.Metrics{Requests: 1} }
 
 // startShardProcess stands up one transport server (our in-test stand-in
-// for a shard process) and the RemoteShard backend dialing it.
-func startShardProcess(t *testing.T, be transport.Backend) (*transport.Server, *RemoteShard) {
+// for a shard process) and the client backend dialing it.
+func startShardProcess(t *testing.T, be transport.Backend) (*transport.Server, *transport.Client) {
 	t.Helper()
 	srv := transport.NewServer(be, transport.ServerOptions{DrainTimeout: 100 * time.Millisecond})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -60,14 +60,13 @@ func startShardProcess(t *testing.T, be transport.Backend) (*transport.Server, *
 		CallTimeout:     5 * time.Second,
 		ReprobeInterval: 10 * time.Millisecond,
 	})
-	rs := NewRemoteShard(cl)
 	t.Cleanup(func() {
-		rs.Close()
+		cl.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 		defer cancel()
 		srv.Shutdown(ctx)
 	})
-	return srv, rs
+	return srv, cl
 }
 
 // hardKill force-closes a server — cancelled context, so the drain loop

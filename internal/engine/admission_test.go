@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"hypersort/internal/bitonic"
 	"hypersort/internal/cube"
 	"hypersort/internal/machine"
 	"hypersort/internal/workload"
@@ -207,10 +206,10 @@ func TestAdmissionRejection(t *testing.T) {
 }
 
 // TestLeaseSortRunReuseMatchesFresh pins the lease-held SortRun: a
-// single-machine pool serving a sequence of sorts — varying key counts,
-// both protocols, distribution accounting on and off, so the retained
-// run is sometimes re-armed and sometimes rebuilt — must return keys
-// and deterministic virtual-time stats identical to a fresh engine's.
+// single-machine pool serving a sequence of sorts — varying key counts
+// and configurations, so the retained run is sometimes re-armed and
+// sometimes rebuilt — must return keys and deterministic virtual-time
+// stats identical to a fresh engine's.
 func TestLeaseSortRunReuseMatchesFresh(t *testing.T) {
 	rng := xrand.New(42)
 	pooled := New(1, 1)
@@ -228,16 +227,12 @@ func TestLeaseSortRunReuseMatchesFresh(t *testing.T) {
 		}
 		for i := 0; i < 6; i++ {
 			cfg := Config{Dim: dim, Faults: faults}
-			if rng.IntN(2) == 0 {
-				cfg.Protocol = bitonic.HalfExchange
-			}
-			cfg.AccountDistribution = rng.IntN(3) == 0
 			req := Request{Config: cfg, Op: OpSort, Keys: workload.MustGenerate(workload.Uniform, 50+rng.IntN(350), rng)}
 			fresh := New(1, 1)
 			want := fresh.Do(req)
 			got := pooled.Do(req)
-			label := fmt.Sprintf("trial %d request %d (dim %d, faults %v, protocol %v, acct %v)",
-				trial, i, dim, faults, cfg.Protocol, cfg.AccountDistribution)
+			label := fmt.Sprintf("trial %d request %d (dim %d, faults %v, %d keys)",
+				trial, i, dim, faults, len(req.Keys))
 			if (got.Err != nil) != (want.Err != nil) {
 				t.Fatalf("%s: pooled err %v, fresh err %v", label, got.Err, want.Err)
 			}

@@ -4,7 +4,6 @@ import (
 	"slices"
 	"testing"
 
-	"hypersort/internal/bitonic"
 	"hypersort/internal/cube"
 	"hypersort/internal/machine"
 	"hypersort/internal/obs"
@@ -60,9 +59,9 @@ func TestModeDirectServesSortsWithoutMachines(t *testing.T) {
 	}
 }
 
-// TestModeDirectIneligibleOps pins the eligibility rules: selection ops,
-// the half-exchange protocol, and distribution accounting all stay on
-// the simulator even in ModeDirect.
+// TestModeDirectIneligibleOps pins the eligibility rule for selection
+// ops: they stay on the simulator even in ModeDirect (multipath routing
+// is TestMultipathNeverDirect's case).
 func TestModeDirectIneligibleOps(t *testing.T) {
 	e := New(1, 1)
 	e.SetMode(ModeDirect)
@@ -73,20 +72,6 @@ func TestModeDirectIneligibleOps(t *testing.T) {
 		t.Fatal(res.Err)
 	} else if res.Direct {
 		t.Error("selection op served direct")
-	}
-	half := cfg
-	half.Protocol = bitonic.HalfExchange
-	if res := e.Do(Request{Config: half, Op: OpSort, Keys: keys}); res.Err != nil {
-		t.Fatal(res.Err)
-	} else if res.Direct {
-		t.Error("half-exchange sort served direct")
-	}
-	acct := cfg
-	acct.AccountDistribution = true
-	if res := e.Do(Request{Config: acct, Op: OpSort, Keys: keys}); res.Err != nil {
-		t.Fatal(res.Err)
-	} else if res.Direct {
-		t.Error("AccountDistribution sort served direct")
 	}
 	if m := e.Metrics(); m.DirectRequests != 0 {
 		t.Errorf("DirectRequests = %d, want 0", m.DirectRequests)
@@ -207,10 +192,10 @@ func TestModeDirectUnbatched(t *testing.T) {
 	if _, ok := e.DoDirect(Request{Config: cfg, Op: OpMedian, Keys: keys}); ok {
 		t.Error("DoDirect served a selection op")
 	}
-	half := cfg
-	half.Protocol = bitonic.HalfExchange
-	if _, ok := e.DoDirect(Request{Config: half, Op: OpSort, Keys: keys}); ok {
-		t.Error("DoDirect served a half-exchange sort")
+	multi := cfg
+	multi.Routing = machine.RouteMultipath
+	if _, ok := e.DoDirect(Request{Config: multi, Op: OpSort, Keys: keys}); ok {
+		t.Error("DoDirect served a multipath sort")
 	}
 	m := e.Metrics()
 	if m.MachinesBuilt != 0 {

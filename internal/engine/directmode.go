@@ -13,7 +13,6 @@ import (
 	"context"
 	"slices"
 
-	"hypersort/internal/bitonic"
 	"hypersort/internal/direct"
 	"hypersort/internal/machine"
 	"hypersort/internal/partition"
@@ -26,11 +25,10 @@ const (
 	// ModeSim serves every request on the simulated machine (the
 	// default: full virtual-time accounting, measured Results).
 	ModeSim Mode = iota
-	// ModeDirect serves eligible sorts (full-block protocol, no
-	// distribution accounting) on the direct substrate with a predicted
-	// Result; everything else — selection ops, half-exchange, and any
-	// configuration whose pool has chaos injections armed — stays on the
-	// simulator.
+	// ModeDirect serves eligible sorts (single-path routing) on the
+	// direct substrate with a predicted Result; everything else —
+	// selection ops, multipath routing, and any configuration whose pool
+	// has chaos injections armed — stays on the simulator.
 	ModeDirect
 	// ModeAuto is ModeDirect that additionally yields to the simulator
 	// whenever an engine-wide trace hook is attached: direct runs emit
@@ -79,14 +77,11 @@ func (e *Engine) directEligible(cfg Config, op Op) bool {
 	default:
 		return false
 	}
-	// Half-exchange requests ask for the paper's literal two-round wire
-	// protocol and AccountDistribution charges simulated distribution
-	// time — both are simulator semantics with no direct analogue. Nor
-	// has multipath routing one: direct.Predict reproduces the hop-only
-	// §3 model, so a congestion-aware makespan would be silently wrong
-	// — such plans are declared direct-ineligible instead.
-	return op == OpSort && cfg.Protocol == bitonic.FullBlock &&
-		!cfg.AccountDistribution && cfg.Routing == machine.RouteSingle
+	// Multipath routing has no direct analogue: direct.Predict
+	// reproduces the hop-only §3 model, so a congestion-aware makespan
+	// would be silently wrong — such plans are declared
+	// direct-ineligible instead.
+	return op == OpSort && cfg.Routing == machine.RouteSingle
 }
 
 // poolArmed reports whether the configuration's machine pool has chaos
@@ -178,11 +173,10 @@ func (e *Engine) shadowOracle(key partition.PlanKey, cfg Config, entry *planEntr
 }
 
 // DoDirect serves req if it takes the direct route under the engine's
-// mode — a sort on the full-block protocol without distribution
-// accounting or multipath routing — and reports (zero, false) without
-// serving it otherwise. A served request runs exactly as Do would run
-// it, inline on the caller's goroutine: admission, planning errors, and
-// the armed-chaos fallback to the simulator included.
+// mode — a sort without multipath routing — and reports (zero, false)
+// without serving it otherwise. A served request runs exactly as Do
+// would run it, inline on the caller's goroutine: admission, planning
+// errors, and the armed-chaos fallback to the simulator included.
 func (e *Engine) DoDirect(req Request) (Result, bool) {
 	if !e.directEligible(req.Config, req.Op) {
 		return Result{}, false

@@ -39,7 +39,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hypersort/internal/bitonic"
 	"hypersort/internal/core"
 	"hypersort/internal/cube"
 	"hypersort/internal/direct"
@@ -51,17 +50,18 @@ import (
 )
 
 // Config describes the machine configuration one request runs on. It
-// mirrors the public hypersort.Config minus the Trace hook (a per-run
-// callback cannot be part of a cache key, and pooled machines must not
-// smuggle one request's events into another's recorder).
+// mirrors the public hypersort.Config minus the Sorter-only options: the
+// Trace hook (a per-run callback cannot be part of a cache key, and
+// pooled machines must not smuggle one request's events into another's
+// recorder), and the half-exchange protocol and distribution accounting
+// (reproduction semantics the Sorter and the experiments measure
+// through core.Options; no serving request sets them).
 type Config struct {
-	Dim                 int
-	Faults              []cube.NodeID
-	LinkFaults          [][2]cube.NodeID
-	Model               machine.FaultModel
-	Cost                machine.CostModel
-	Protocol            bitonic.Protocol
-	AccountDistribution bool
+	Dim        int
+	Faults     []cube.NodeID
+	LinkFaults [][2]cube.NodeID
+	Model      machine.FaultModel
+	Cost       machine.CostModel
 	// Routing selects the machine's path discipline (default
 	// RouteSingle). RouteMultipath requests get congestion-aware plans
 	// and congestion-priced machines; they are never direct-eligible
@@ -363,13 +363,19 @@ func (e *Engine) Metrics() Metrics {
 	}
 }
 
-// validate re-implements the facade's configuration checks. The engine
-// must reject bad configurations itself — partition and cube panic on
-// out-of-range dimensions, and a pooled engine cannot let one malformed
-// request take the process down.
+// validate checks a configuration before anything is built from it:
+// partition and cube panic on out-of-range dimensions, and a pooled
+// engine cannot let one malformed request take the process down. It is
+// the one check the engine's requests and Prepare's Sorter share.
 func validate(cfg Config) error {
 	if cfg.Dim < 0 || cfg.Dim > cube.MaxDim {
 		return fmt.Errorf("engine: dimension %d outside [0,%d]", cfg.Dim, cube.MaxDim)
+	}
+	if cfg.Model != machine.Partial && cfg.Model != machine.Total {
+		return fmt.Errorf("engine: unknown fault model %d", int(cfg.Model))
+	}
+	if cfg.Routing != machine.RouteSingle && cfg.Routing != machine.RouteMultipath {
+		return fmt.Errorf("engine: unknown routing policy %d", int(cfg.Routing))
 	}
 	h := cube.New(cfg.Dim)
 	for _, f := range cfg.Faults {
@@ -389,6 +395,57 @@ func validate(cfg Config) error {
 		}
 	}
 	return nil
+}
+
+// buildPlan runs the partition search for a validated cfg. Multipath
+// configurations score cutting sequences with the congestion-aware
+// objective; the plan key carries the routing policy, so the two plan
+// families never collide in the cache.
+func buildPlan(cfg Config) (*partition.Plan, error) {
+	obj := partition.ObjectiveHops
+	if cfg.Routing == machine.RouteMultipath {
+		obj = partition.ObjectiveCongestion
+	}
+	return partition.BuildPlanObjective(cfg.Dim, cube.NewNodeSet(cfg.Faults...), obj)
+}
+
+// machineConfig is the machine a validated cfg describes, with no trace
+// hook or metrics attached.
+func machineConfig(cfg Config) machine.Config {
+	links := cube.NewEdgeSet()
+	for _, pair := range cfg.LinkFaults {
+		links.Add(pair[0], pair[1])
+	}
+	return machine.Config{
+		Dim:        cfg.Dim,
+		Faults:     cube.NewNodeSet(cfg.Faults...),
+		Model:      cfg.Model,
+		Cost:       cfg.Cost,
+		LinkFaults: links,
+		Routing:    cfg.Routing,
+	}
+}
+
+// Prepare validates cfg and builds its plan and one machine, with trace
+// as the machine's event hook, through the same checks, objective
+// choice and machine configuration the engine's plan cache and pools
+// use. Nothing is cached: it is the path for a caller that owns one
+// machine, such as hypersort.Sorter.
+func Prepare(cfg Config, trace machine.TraceFunc) (*partition.Plan, *machine.Machine, error) {
+	if err := validate(cfg); err != nil {
+		return nil, nil, err
+	}
+	plan, err := buildPlan(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	mc := machineConfig(cfg)
+	mc.Trace = trace
+	m, err := machine.New(mc)
+	if err != nil {
+		return nil, nil, err
+	}
+	return plan, m, nil
 }
 
 // plan returns the cached plan entry for key, running the partition
@@ -414,14 +471,7 @@ func (e *Engine) plan(key partition.PlanKey, cfg Config) (*planEntry, error) {
 		}
 	}
 	entry.once.Do(func() {
-		// Multipath configurations score cutting sequences with the
-		// congestion-aware objective; the plan key already carries the
-		// routing policy, so the two plan families never collide.
-		obj := partition.ObjectiveHops
-		if cfg.Routing == machine.RouteMultipath {
-			obj = partition.ObjectiveCongestion
-		}
-		entry.plan, entry.err = partition.BuildPlanObjective(cfg.Dim, cube.NewNodeSet(cfg.Faults...), obj)
+		entry.plan, entry.err = buildPlan(cfg)
 		if entry.err == nil {
 			entry.layout = core.NewLayout(entry.plan)
 		}
@@ -443,20 +493,9 @@ func (e *Engine) poolFor(key poolKey, cfg Config) *pool {
 				}
 				return prev.Clone(), nil
 			}
-			links := cube.NewEdgeSet()
-			for _, pair := range cfg.LinkFaults {
-				links.Add(pair[0], pair[1])
-			}
-			m, err := machine.New(machine.Config{
-				Dim:        cfg.Dim,
-				Faults:     cube.NewNodeSet(cfg.Faults...),
-				Model:      cfg.Model,
-				Cost:       cfg.Cost,
-				LinkFaults: links,
-				Routing:    cfg.Routing,
-				Trace:      e.trace,
-				Metrics:    e.mm,
-			})
+			mc := machineConfig(cfg)
+			mc.Trace, mc.Metrics = e.trace, e.mm
+			m, err := machine.New(mc)
 			if err == nil {
 				e.built.Add(1)
 				if e.em != nil {
@@ -597,7 +636,6 @@ func (e *Engine) doOnMachine(ctx context.Context, key partition.PlanKey, cfg Con
 
 // runOnLease executes one request on an already-acquired lease.
 func (e *Engine) runOnLease(l *lease, entry *planEntry, req Request) Result {
-	cfg := req.Config
 	m := l.m
 
 	// Keys pass through uncloned: every downstream path (SortRun,
@@ -606,11 +644,7 @@ func (e *Engine) runOnLease(l *lease, entry *planEntry, req Request) Result {
 	keys := req.Keys
 	switch req.Op {
 	case OpSort:
-		run, err := l.sortRun(entry.layout, keys, core.Options{
-			Protocol:            cfg.Protocol,
-			AccountDistribution: cfg.AccountDistribution,
-			Phases:              e.phases,
-		})
+		run, err := l.sortRun(entry.layout, keys, core.Options{Phases: e.phases})
 		if err != nil {
 			return Result{Err: err}
 		}

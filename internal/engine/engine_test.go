@@ -166,6 +166,36 @@ func TestBatchErrorIsolation(t *testing.T) {
 	}
 }
 
+// TestUnknownEnumsRejected pins that a fault model or routing policy
+// outside the defined values fails validation in every mode, before it
+// reaches the plan cache, a machine pool or the direct substrate.
+func TestUnknownEnumsRejected(t *testing.T) {
+	for _, mode := range []Mode{ModeSim, ModeDirect} {
+		e := New(1, 1)
+		e.SetMode(mode)
+		keys := workload.MustGenerate(workload.Uniform, 64, xrand.New(9))
+		for _, tc := range []struct {
+			cfg  Config
+			want string
+		}{
+			{Config{Dim: 3, Model: 7}, "engine: unknown fault model 7"},
+			{Config{Dim: 3, Model: -1}, "engine: unknown fault model -1"},
+			{Config{Dim: 3, Routing: 9}, "engine: unknown routing policy 9"},
+		} {
+			res := e.Do(Request{Config: tc.cfg, Op: OpSort, Keys: keys})
+			if res.Err == nil || res.Err.Error() != tc.want {
+				t.Errorf("%v, %+v: err %v, want %q", mode, tc.cfg, res.Err, tc.want)
+			}
+			if _, err := e.Plan(tc.cfg); err == nil || err.Error() != tc.want {
+				t.Errorf("%v, Plan(%+v): err %v, want %q", mode, tc.cfg, err, tc.want)
+			}
+		}
+		if m := e.Metrics(); m.PlanHits+m.PlanMisses != 0 || m.MachinesBuilt != 0 || m.DirectRequests != 0 {
+			t.Errorf("%v: rejected configurations reached the engine: %+v", mode, m)
+		}
+	}
+}
+
 func TestOpsThroughPool(t *testing.T) {
 	e := New(2, 4)
 	cfg := Config{Dim: 4, Faults: []cube.NodeID{7}}

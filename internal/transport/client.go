@@ -43,19 +43,16 @@ type ClientOptions struct {
 	// ReprobeInterval is how often an unhealthy shard is probed for
 	// recovery. Default 250ms.
 	ReprobeInterval time.Duration
-
-	// RTT, PipelineDepth, and Unhealthy are optional transport
-	// instruments: per-call round-trip time, in-flight calls observed
-	// at send, and healthy→unhealthy transitions.
-	RTT           *obs.Histogram
-	PipelineDepth *obs.Histogram
-	Unhealthy     *obs.Counter
 }
 
-// Client is the proxy-side handle for one shard process.
+// Client is the proxy-side handle for one shard process. Its methods
+// are the cluster router's Backend: the router holds clients directly,
+// one per shard process.
 type Client struct {
 	addr string
 	opts ClientOptions
+	// tm is nil until Instrument; every consuming path guards on that.
+	tm *obs.TransportMetrics
 
 	slots []*clientConn // fixed; slots dial lazily and redial after errors
 	next  atomic.Uint64 // round-robin slot cursor
@@ -126,13 +123,11 @@ func NewClient(addr string, opts ClientOptions) *Client {
 // Addr returns the shard address this client dials.
 func (cl *Client) Addr() string { return cl.addr }
 
-// Instrument attaches the transport instruments after construction.
-// Call before the client serves traffic.
-func (cl *Client) Instrument(rtt, depth *obs.Histogram, unhealthy *obs.Counter) {
-	cl.opts.RTT = rtt
-	cl.opts.PipelineDepth = depth
-	cl.opts.Unhealthy = unhealthy
-}
+// Instrument registers the transport bundle in r and attaches it: per
+// call round-trip time, calls in flight at send, and healthy→unhealthy
+// transitions. Registration is idempotent, so all clients of one proxy
+// share the same series. Call before the client serves traffic.
+func (cl *Client) Instrument(r *obs.Registry) { cl.tm = obs.NewTransportMetrics(r) }
 
 // Healthy reports the shard's last known reachability.
 func (cl *Client) Healthy() bool { return cl.healthy.Load() }
@@ -161,8 +156,8 @@ func (cl *Client) Close() {
 // kicks the reprobe loop.
 func (cl *Client) markUnhealthy() {
 	if cl.healthy.Swap(false) {
-		if cl.opts.Unhealthy != nil {
-			cl.opts.Unhealthy.Inc()
+		if cl.tm != nil {
+			cl.tm.ShardUnhealthy.Inc()
 		}
 		select {
 		case cl.probeC <- struct{}{}:
@@ -224,8 +219,8 @@ func (cl *Client) roundTrip(ctx context.Context, want byte, encode func(dst []by
 
 	depth := cl.inflight.Add(1)
 	defer cl.inflight.Add(-1)
-	if cl.opts.PipelineDepth != nil {
-		cl.opts.PipelineDepth.Observe(depth)
+	if cl.tm != nil {
+		cl.tm.PipelineDepth.Observe(depth)
 	}
 	start := time.Now()
 
@@ -246,8 +241,8 @@ func (cl *Client) roundTrip(ctx context.Context, want byte, encode func(dst []by
 		cl.markUnhealthy()
 		return Frame{}, ca.err
 	}
-	if cl.opts.RTT != nil {
-		cl.opts.RTT.Observe(time.Since(start).Nanoseconds())
+	if cl.tm != nil {
+		cl.tm.RTT.Observe(time.Since(start).Nanoseconds())
 	}
 	cl.absorb(ca.f.Feedback)
 	if ca.f.Type != want {

@@ -45,7 +45,6 @@ import (
 	"math/bits"
 	"unsafe"
 
-	"hypersort/internal/bitonic"
 	"hypersort/internal/cube"
 	"hypersort/internal/engine"
 	"hypersort/internal/machine"
@@ -54,7 +53,7 @@ import (
 
 // Version is the protocol version this package speaks. A frame with any
 // other leading byte is rejected before its payload is touched.
-const Version = 2
+const Version = 3
 
 // MaxFrame bounds one frame's body length: large enough for tens of
 // millions of keys, small enough that a corrupt or hostile length
@@ -173,16 +172,11 @@ func appendKeys(dst []byte, keys []sortutil.Key) []byte {
 	return dst
 }
 
-// appendConfig appends one engine configuration: dim, model, protocol,
-// routing, a flags byte (bit 0 = AccountDistribution), the three cost
-// constants, then the fault and link-fault lists.
+// appendConfig appends one engine configuration: dim, model, routing,
+// the three cost constants, then the fault and link-fault lists.
 func appendConfig(dst []byte, cfg engine.Config) []byte {
 	dst = binary.AppendUvarint(dst, uint64(cfg.Dim))
-	var flags byte
-	if cfg.AccountDistribution {
-		flags |= 1
-	}
-	dst = append(dst, byte(cfg.Model), byte(cfg.Protocol), byte(cfg.Routing), flags)
+	dst = append(dst, byte(cfg.Model), byte(cfg.Routing))
 	dst = binary.AppendUvarint(dst, uint64(cfg.Cost.Compare))
 	dst = binary.AppendUvarint(dst, uint64(cfg.Cost.Elem))
 	dst = binary.AppendUvarint(dst, uint64(cfg.Cost.Startup))
@@ -490,26 +484,20 @@ func (r *reader) keys(dst []sortutil.Key) []sortutil.Key {
 	return dst
 }
 
-// config decodes one engine configuration. List lengths are validated
-// against the remaining frame bytes (each entry is at least one byte)
-// before allocating.
-// config decodes a Config, appending fault lists into the caller's
-// scratch slices (pass nil when there is nothing to reuse) — the proxy
-// hot path decodes the same shapes over and over and must not allocate
-// per frame. Empty lists decode to nil, matching the encoder's view
-// that nil and empty are the same wire bytes.
+// config decodes one engine configuration, appending fault lists into
+// the caller's scratch slices (pass nil when there is nothing to
+// reuse) — the proxy hot path decodes the same shapes over and over and
+// must not allocate per frame. List lengths are validated against the
+// remaining frame bytes (each entry is at least one byte) before
+// allocating. Empty lists decode to nil, matching the encoder's view
+// that nil and empty are the same wire bytes. The model and routing
+// bytes pass through as sent: the engine's validation rejects values it
+// does not define, per request, without closing the connection.
 func (r *reader) config(faults []cube.NodeID, links [][2]cube.NodeID) engine.Config {
 	var cfg engine.Config
 	cfg.Dim = int(r.uvarint())
 	cfg.Model = machine.FaultModel(r.byte())
-	cfg.Protocol = bitonic.Protocol(r.byte())
 	cfg.Routing = machine.RoutingPolicy(r.byte())
-	flags := r.byte()
-	if flags&^1 != 0 {
-		r.bad = true // unknown flag bits: not representable, reject
-		return cfg
-	}
-	cfg.AccountDistribution = flags&1 != 0
 	cfg.Cost.Compare = machine.Time(r.i64())
 	cfg.Cost.Elem = machine.Time(r.i64())
 	cfg.Cost.Startup = machine.Time(r.i64())

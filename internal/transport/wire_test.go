@@ -2,12 +2,12 @@ package transport
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
 
-	"hypersort/internal/bitonic"
 	"hypersort/internal/cube"
 	"hypersort/internal/engine"
 	"hypersort/internal/machine"
@@ -30,14 +30,12 @@ func body(t *testing.T, frame []byte) []byte {
 
 func testConfig() engine.Config {
 	return engine.Config{
-		Dim:                 6,
-		Faults:              []cube.NodeID{3, 17, 40},
-		LinkFaults:          [][2]cube.NodeID{{0, 1}, {5, 7}},
-		Model:               machine.Total,
-		Cost:                machine.CostModel{Compare: 1, Elem: 2, Startup: 50},
-		Protocol:            bitonic.HalfExchange,
-		AccountDistribution: true,
-		Routing:             machine.RouteMultipath,
+		Dim:        6,
+		Faults:     []cube.NodeID{3, 17, 40},
+		LinkFaults: [][2]cube.NodeID{{0, 1}, {5, 7}},
+		Model:      machine.Total,
+		Cost:       machine.CostModel{Compare: 1, Elem: 2, Startup: 50},
+		Routing:    machine.RouteMultipath,
 	}
 }
 
@@ -58,6 +56,56 @@ func TestRequestRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(f.Req, req) {
 		t.Fatalf("request round-trip mismatch:\n got %+v\nwant %+v", f.Req, req)
+	}
+}
+
+// TestConfigLayout pins the version 3 config bytes: dim, model and
+// routing, the three cost constants, then the fault and link-fault
+// lists.
+func TestConfigLayout(t *testing.T) {
+	got := appendConfig(nil, testConfig())
+	want := []byte{
+		6,    // dim
+		1, 1, // model Total, routing multipath
+		1, 2, 50, // cost: compare, elem, startup
+		3, 3, 17, 40, // three faults
+		2, 0, 1, 5, 7, // two link faults
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("config bytes = %v, want %v", got, want)
+	}
+}
+
+// TestUnknownEnumsCrossTheWire: a fault model or routing policy byte the
+// engine does not define survives the wire unchanged, and the shard's
+// engine refuses the request with its validation error; the
+// connection stays up for the next request.
+func TestUnknownEnumsCrossTheWire(t *testing.T) {
+	addr, _ := startServer(t, engine.New(1, 1), ServerOptions{})
+	cl := NewClient(addr, fastClientOptions())
+	defer cl.Close()
+	keys := []sortutil.Key{3, 1, 2}
+	for _, tc := range []struct {
+		cfg  engine.Config
+		want string
+	}{
+		{engine.Config{Dim: 3, Model: 7}, "engine: unknown fault model 7"},
+		{engine.Config{Dim: 3, Routing: 9}, "engine: unknown routing policy 9"},
+	} {
+		req := engine.Request{Config: tc.cfg, Op: engine.OpSort, Keys: keys}
+		var f Frame
+		if err := DecodeFrame(&f, body(t, AppendRequest(nil, 1, req, 0))); err != nil {
+			t.Fatalf("%+v: DecodeFrame: %v", tc.cfg, err)
+		}
+		if !reflect.DeepEqual(f.Req, req) {
+			t.Fatalf("request round-trip mismatch:\n got %+v\nwant %+v", f.Req, req)
+		}
+		if res := cl.Do(context.Background(), req); res.Err == nil || res.Err.Error() != tc.want {
+			t.Fatalf("%+v over the wire: err %v, want %q", tc.cfg, res.Err, tc.want)
+		}
+	}
+	if res := cl.Do(context.Background(), engine.Request{Config: engine.Config{Dim: 3}, Op: engine.OpSort, Keys: keys}); res.Err != nil {
+		t.Fatalf("valid request after the rejections: %v", res.Err)
 	}
 }
 
@@ -178,7 +226,7 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	// op/K/deadline, and a zero-valued config.
 	reqPrefix := []byte{Version, TReq, 1, byte(engine.OpSort),
 		0, 0, // K, deadline
-		0, 0, 0, 0, 0, // dim, model, protocol, routing, flags
+		0, 0, 0, // dim, model, routing
 		0, 0, 0, // cost
 	}
 	cases := map[string][]byte{

@@ -8,7 +8,7 @@
 //     ns/op and allocs/op on this path.
 //   - BenchmarkMultiProcessCluster: the same 64-client storm as E23,
 //     served by the in-process 4-shard cluster versus four wire-protocol
-//     shard servers behind RemoteShard backends (loopback TCP — the
+//     shard servers behind transport.Client backends (loopback TCP — the
 //     in-test stand-in for shard processes). On a multi-core host the
 //     remote topology buys real parallelism per process; on any host
 //     the delta against cluster-4 is the transport tax.
@@ -101,8 +101,8 @@ func BenchmarkTransportCodec(b *testing.B) {
 
 // newRemoteBenchCluster stands up `shards` wire-protocol servers (each
 // wrapping the same engine configuration newBenchCluster gives an
-// in-process shard) and a cluster routing to them through RemoteShard
-// backends over loopback TCP. The returned close function tears down
+// in-process shard) and a cluster routing to them through one
+// transport.Client per server over loopback TCP. The returned close function tears down
 // clients, then servers, then engines.
 func newRemoteBenchCluster(b *testing.B, shards int) (*cluster.Cluster, func()) {
 	b.Helper()
@@ -121,7 +121,7 @@ func newRemoteBenchCluster(b *testing.B, shards int) (*cluster.Cluster, func()) 
 		}
 		go srv.Serve(lis)
 		servers[i] = srv
-		backends[i] = cluster.NewRemoteShard(transport.NewClient(lis.Addr().String(), transport.ClientOptions{}))
+		backends[i] = transport.NewClient(lis.Addr().String(), transport.ClientOptions{})
 	}
 	c := cluster.NewWithBackends(cluster.Options{
 		Replicas:  1,
